@@ -5,10 +5,7 @@
 //! (hypergraph size at model-build time).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mg_core::{
-    initial_split, iterative_refinement, sharded_split, sharded_volume, GlobalPreference,
-    MediumGrainModel, RefineOptions, ShardPolicy,
-};
+use mg_core::{initial_split, iterative_refinement, MediumGrainModel, RefineOptions};
 use mg_hypergraph::{fine_grain_model, row_net_model, VertexBipartition};
 use mg_partitioner::{fm_refine, FmLimits};
 use mg_sparse::{communication_volume, Idx, NonzeroPartition};
@@ -44,28 +41,6 @@ fn bench_volume(c: &mut Criterion) {
     c.bench_function("communication_volume", |b| {
         b.iter(|| communication_volume(&a, &p))
     });
-}
-
-fn bench_sharded_pipeline(c: &mut Criterion) {
-    // Sequential vs parallel routes of the sharded entry points; the
-    // threshold is forced to 0 so both sides run on the same instance.
-    let a = matrix();
-    let parts: Vec<Idx> = (0..a.nnz()).map(|k| (k % 2) as Idx).collect();
-    let p = NonzeroPartition::new(2, parts).unwrap();
-    let mut group = c.benchmark_group("sharded_pipeline");
-    for threads in [1usize, 4] {
-        let policy = ShardPolicy {
-            threads,
-            min_parallel_nnz: 0,
-        };
-        group.bench_with_input(BenchmarkId::new("split", threads), &policy, |b, policy| {
-            b.iter(|| sharded_split(&a, GlobalPreference::Rows, policy))
-        });
-        group.bench_with_input(BenchmarkId::new("volume", threads), &policy, |b, policy| {
-            b.iter(|| sharded_volume(&a, &p, policy))
-        });
-    }
-    group.finish();
 }
 
 fn bench_fm(c: &mut Criterion) {
@@ -109,7 +84,6 @@ criterion_group!(
     bench_models,
     bench_split,
     bench_volume,
-    bench_sharded_pipeline,
     bench_fm,
     bench_iterative_refinement
 );

@@ -9,16 +9,15 @@
 //! so results do not depend on sweep order, thread count or scheduling —
 //! the determinism contract of the paper's §V extended from a single
 //! split to a whole experiment campaign. The opt-in verify pass
-//! cross-checks every reported volume through the sharded pipeline of
-//! [`mg_core::parallel`]: large instances take the parallel kernels (per
-//! [`ShardPolicy`]), small ones the sequential scan. Both routes are
-//! bit-identical.
+//! recounts every reported volume with the independent reference
+//! counter [`mg_sparse::communication_volume_reference`] — not the
+//! popcount path that produced it.
 
 use crate::runner::class_label;
 use mg_collection::batch::{expand_jobs, run_jobs, run_seed, worker_count};
 use mg_collection::{generate, CollectionEntry, CollectionSpec};
-use mg_core::{parse_backend, sharded_volume, Method, PartitionBackend, ShardPolicy};
-use mg_sparse::{load_imbalance, MatrixClass};
+use mg_core::{parse_backend, Method, PartitionBackend};
+use mg_sparse::{communication_volume_reference, load_imbalance, MatrixClass};
 use std::time::Instant;
 
 /// Configuration of a batched sweep.
@@ -46,13 +45,9 @@ pub struct BatchSweepConfig {
     pub backend: String,
     /// Worker threads for the job pool; 0 = one per available core.
     pub threads: usize,
-    /// Intra-job routing policy for the verify pass: instances with at
-    /// least `min_parallel_nnz` nonzeros take the parallel kernels.
-    pub policy: ShardPolicy,
     /// Cross-check every reported volume against an independent
-    /// recomputation through the sharded pipeline
-    /// ([`mg_core::sharded_volume`]); panics on mismatch. Off by default
-    /// — it doubles the volume work per run.
+    /// recount ([`mg_sparse::communication_volume_reference`]); panics
+    /// on mismatch. Off by default — it adds a volume count per run.
     pub verify: bool,
 }
 
@@ -69,7 +64,6 @@ impl BatchSweepConfig {
             seed: 0xB15EC7,
             backend: backend.to_string(),
             threads: 0,
-            policy: ShardPolicy::verification(),
             verify: false,
         }
     }
@@ -262,11 +256,9 @@ fn measure_cell(
         let result = backend.bipartition(&entry.matrix, method, job.epsilon, run_seed(job, run));
         time_sum += start.elapsed().as_secs_f64();
         if config.verify {
-            // Independent recomputation through the sharded pipeline:
-            // large instances take the parallel kernel, small ones the
-            // sequential scan. Identical values either way, so the check
-            // never perturbs determinism.
-            let check = sharded_volume(&entry.matrix, &result.partition, &config.policy);
+            // An independent recount; a pure function of the result,
+            // so the check never perturbs determinism.
+            let check = communication_volume_reference(&entry.matrix, &result.partition);
             assert_eq!(
                 check, result.volume,
                 "volume mismatch for {} {} eps={}",

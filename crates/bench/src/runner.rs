@@ -12,7 +12,7 @@ use crate::batch::{run_batch_sweep, BatchSweepConfig, SweepError};
 use mg_collection::batch::{expand_jobs, run_jobs, run_seed};
 use mg_collection::worker_count;
 use mg_collection::{generate, CollectionSpec};
-use mg_core::{parse_backend, recursive_bisection_backend, Method, ShardPolicy};
+use mg_core::{parse_backend, recursive_bisection_backend, Method};
 use mg_sparse::{bsp_cost, Idx, MatrixClass};
 use std::time::Instant;
 
@@ -134,7 +134,6 @@ pub fn run_sweep(config: &SweepConfig) -> Result<Vec<RunRecord>, SweepError> {
         seed: config.seed,
         backend: config.backend.clone(),
         threads: config.threads,
-        policy: ShardPolicy::sequential(),
         verify: false,
     };
     Ok(batch_to_run_records(run_batch_sweep(&batch)?))

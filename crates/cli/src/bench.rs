@@ -29,9 +29,9 @@
 use crate::args::Parsed;
 use mg_collection::{CollectionScale, CollectionSpec};
 use mg_router::{LocalCluster, RouterConfig};
-use mg_server::codec::{batch_payload, encode_frame, json_payload, partition_payload, KIND_JSON};
+use mg_server::codec::{batch_payload, encode_frame, request_payload, split_responses, KIND_JSON};
 use mg_server::json::obj;
-use mg_server::{parse_request_line, Json, Service, ServiceConfig, TcpServer};
+use mg_server::{Json, Service, ServiceConfig, TcpServer};
 use mg_sparse::{gen, Coo, Idx};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -394,13 +394,6 @@ fn json_script(lines: &[String]) -> Vec<u8> {
         script.push(b'\n');
     }
     script
-}
-
-fn request_payload(line: &str) -> Vec<u8> {
-    parse_request_line(line)
-        .ok()
-        .and_then(|request| partition_payload(&request))
-        .unwrap_or_else(|| json_payload(line))
 }
 
 fn binary_script(lines: &[String]) -> Vec<u8> {
@@ -993,37 +986,6 @@ fn validate_document(document: &Json) -> Result<(), String> {
 // --conformance: identical response texts across codecs and threads
 // ---------------------------------------------------------------------
 
-/// Splits a response byte stream into texts, tracking the hello switch.
-fn response_texts(out: &[u8]) -> Vec<String> {
-    let mut texts = Vec::new();
-    let mut pos = 0;
-    let mut binary = false;
-    while pos < out.len() {
-        let text = if binary {
-            let len = u32::from_le_bytes(out[pos..pos + 4].try_into().unwrap()) as usize;
-            assert_eq!(out[pos + 4], KIND_JSON);
-            let text = std::str::from_utf8(&out[pos + 5..pos + 4 + len]).unwrap();
-            pos += 4 + len;
-            text.to_string()
-        } else {
-            let nl = out[pos..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .expect("unterminated response line");
-            let text = std::str::from_utf8(&out[pos..pos + nl])
-                .unwrap()
-                .to_string();
-            pos += nl + 1;
-            text
-        };
-        if text.contains("\"op\":\"hello\"") && text.contains("\"codec\":\"binary\"") {
-            binary = true;
-        }
-        texts.push(text);
-    }
-    texts
-}
-
 fn conformance() -> Result<(), String> {
     // A mixed stream: fresh compute, cache repeats, a collection matrix,
     // pings, a typed error, an assignment request.
@@ -1045,13 +1007,13 @@ fn conformance() -> Result<(), String> {
         let mut json_out = Vec::new();
         service.run_session(json_script(&lines).as_slice(), &mut json_out);
         service.shutdown_and_join();
-        let json_texts = response_texts(&json_out);
+        let json_texts = split_responses(&json_out).ok_or("malformed response stream")?;
 
         let service = fresh_service(threads);
         let mut binary_out = Vec::new();
         service.run_session(binary_script(&lines).as_slice(), &mut binary_out);
         service.shutdown_and_join();
-        let binary_texts = response_texts(&binary_out);
+        let binary_texts = split_responses(&binary_out).ok_or("malformed response stream")?;
 
         if json_texts != binary_texts[1..] {
             return Err(format!(

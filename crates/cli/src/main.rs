@@ -22,7 +22,7 @@ use mg_core::{
 };
 use mg_router::{Router, RouterConfig, RouterTcpServer, Topology};
 use mg_server::json::obj;
-use mg_server::{error_response, serve_stdio, Json, Service, ServiceConfig, TcpServer};
+use mg_server::{error_response, Json, Service, ServiceConfig, TcpServer};
 use mg_sparse::{
     bsp_cost, communication_volume, dist_io, gen, io, load_imbalance, spy, spy_partitioned,
     CommunicationReport, Coo, Idx, PatternStats,
@@ -81,7 +81,7 @@ SWEEP OPTIONS:
   --seed S      master seed; every cell derives its own stream  (default 2014)
   -o FILE       write JSON lines to FILE instead of stdout
   --timing      append mean wall-clock time to each line (non-deterministic)
-  --verify      cross-check every volume through the sharded pipeline
+  --verify      recount every volume with the independent reference counter
                 (instances of 1024+ nonzeros take the parallel kernels)
 
   Results are bit-identical for any --threads value: each cell is seeded
@@ -819,7 +819,7 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
             mg_obs::log::info("server_stopped", &[("drained", true.into())]);
         }
         None => {
-            let summary = serve_stdio(&service);
+            let summary = service.run_session(std::io::stdin().lock(), std::io::stdout());
             service.shutdown_and_join();
             mg_obs::log::info(
                 "session_done",
@@ -902,7 +902,7 @@ fn route(parsed: &Parsed) -> Result<(), String> {
             mg_obs::log::info("router_stopped", &[]);
         }
         None => {
-            let summary = mg_router::serve_stdio(&router);
+            let summary = router.run_session(std::io::stdin().lock(), std::io::stdout());
             mg_obs::log::info(
                 "session_done",
                 &[

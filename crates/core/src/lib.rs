@@ -33,7 +33,6 @@ pub mod full_iterative;
 pub mod kway;
 pub mod medium_grain;
 pub mod methods;
-pub mod parallel;
 pub mod recursive;
 pub mod refine;
 pub mod service;
@@ -48,10 +47,6 @@ pub use full_iterative::{medium_grain_full_iterative, FullIterativeOptions};
 pub use kway::{kway_refine, KwayOutcome};
 pub use medium_grain::{medium_grain_bipartition, medium_grain_bipartition_with_split};
 pub use methods::{BipartitionResult, Method};
-pub use parallel::{
-    parallel_communication_volume, parallel_split_with_preference, sharded_split, sharded_volume,
-    ShardPolicy,
-};
 pub use recursive::{recursive_bisection, recursive_bisection_backend, MultiwayResult};
 pub use refine::{iterative_refinement, RefineOptions};
 pub use service::{

@@ -46,6 +46,19 @@ pub enum RequestOp {
     Hello,
 }
 
+impl RequestOp {
+    /// The wire spelling of the op (the `op` request field).
+    pub fn name(self) -> &'static str {
+        match self {
+            RequestOp::Partition => "partition",
+            RequestOp::Ping => "ping",
+            RequestOp::Stats => "stats",
+            RequestOp::Shutdown => "shutdown",
+            RequestOp::Hello => "hello",
+        }
+    }
+}
+
 /// One partition request, decoded but not yet executed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionSpec {

@@ -20,7 +20,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Propagated trace identity: which trace we are in, which span owns
 /// the current scope, and that span's parent (if any).
@@ -397,6 +397,84 @@ pub fn record_child(
         dur,
     );
     id
+}
+
+/// The root `request` span of one served request: opened at decode and
+/// closed where the request resolves, whichever process (shard or
+/// router) and whichever outcome (answer, error, cache hit).
+#[derive(Clone, Copy, Debug)]
+pub struct RequestTrace {
+    /// The root span's context; children (`decode`, `route`, `dispatch`,
+    /// `execute`, ...) parent to `ctx.span_id`.
+    pub ctx: TraceContext,
+    /// The sampler threshold of a speculative trace; `None` when the
+    /// client stamped the trace, which then always records.
+    slow: Option<Duration>,
+    /// UNIX-epoch µs at open — the root span's start timestamp.
+    pub start_us: u64,
+    /// Monotonic twin of `start_us` — the root span's duration clock.
+    pub started: Instant,
+}
+
+impl RequestTrace {
+    /// Opens a request's trace: under the client's context when the
+    /// request arrived with a `trace` field, otherwise a speculative
+    /// trace when the slow-request sampler (`slow`) is on, otherwise
+    /// none.
+    pub fn open(
+        wire: Option<WireTrace>,
+        slow: Option<Duration>,
+        start_us: u64,
+        started: Instant,
+    ) -> Option<RequestTrace> {
+        let (ctx, slow) = match wire {
+            Some(w) => (
+                TraceContext {
+                    trace_id: w.trace_id,
+                    span_id: next_span_id(),
+                    parent_id: w.parent,
+                },
+                None,
+            ),
+            None => (collector().begin_speculative(), Some(slow?)),
+        };
+        Some(RequestTrace {
+            ctx,
+            slow,
+            start_us,
+            started,
+        })
+    }
+
+    /// Records the root span and settles the sampler verdict: a
+    /// speculative trace is kept only when the request took at least
+    /// the threshold.
+    pub fn close(&self) {
+        let total = self.started.elapsed();
+        record_span(
+            self.ctx.trace_id,
+            self.ctx.span_id,
+            self.ctx.parent_id,
+            "request",
+            self.start_us,
+            total,
+        );
+        if let Some(threshold) = self.slow {
+            if total >= threshold {
+                collector().commit(self.ctx.trace_id);
+            } else {
+                collector().discard(self.ctx.trace_id);
+            }
+        }
+    }
+
+    /// Drops the trace unrecorded (the request never ran); a
+    /// client-stamped trace simply records nothing for it.
+    pub fn abandon(&self) {
+        if self.slow.is_some() {
+            collector().discard(self.ctx.trace_id);
+        }
+    }
 }
 
 // --- exporter -------------------------------------------------------

@@ -11,6 +11,14 @@
 //!                     └──▶ mg-server shard s2
 //! ```
 //!
+//! The router does not have a transport of its own: its sessions — pipe
+//! ([`Router::run_session`]) and TCP ([`RouterTcpServer`]) — run on the
+//! shard's session engine, [`mg_server::session`], with
+//! [`router::RouteHandler`] as the request handler. Decoding, response
+//! ordering, codec negotiation and the session counters are therefore
+//! the shard's own, byte for byte; the handler only decides what is
+//! answered locally and what is forwarded.
+//!
 //! Placement is a **weighted rendezvous hash** over the request's
 //! placement key — the matrix content fingerprint, or the collection-name
 //! fingerprint for named matrices ([`mg_core::service::placement_key`],
@@ -55,11 +63,9 @@ pub mod harness;
 mod metrics;
 pub mod placement;
 pub mod router;
-pub mod transport;
 
 pub use cache::RouterKey;
 pub use config::{ShardSpec, Topology, TopologyError, MAX_SHARD_CAPACITY};
 pub use harness::{LocalCluster, LocalShard, ShardProxy};
 pub use placement::{place, place_replicas, rank, rendezvous};
-pub use router::{Router, RouterConfig, RouterSummary};
-pub use transport::{serve_pipe, serve_stdio, RouterTcpServer};
+pub use router::{Router, RouterConfig, RouterSummary, RouterTcpServer};

@@ -11,7 +11,8 @@
 //! [`crate::placement`] picks for the request's placement key. Each
 //! session holds at most one connection per shard; responses come back in
 //! FIFO order per connection and are re-sequenced into client submission
-//! order by the same sliding-slot scheme `mg-server` uses.
+//! order by the session engine of [`mg_server::session`] — the same one a
+//! shard runs, with [`RouteHandler`] as its request handler.
 //!
 //! ## Replication and failure handling
 //!
@@ -53,12 +54,14 @@ use crate::metrics::{
 use crate::placement::place_replicas;
 use mg_core::service::{placement_key, ErrorCode, RequestOp};
 use mg_core::{parse_backend, DEFAULT_BACKEND};
-use mg_obs::trace::{self, TraceContext};
-use mg_server::codec::{self, UnitKind, UnitScanner, WireCodec};
+use mg_obs::trace::{self, RequestTrace};
+use mg_server::codec;
 use mg_server::json::obj;
-use mg_server::{protocol, Json, LruCache};
+use mg_server::session::{Handler, Host, Reply, SessionShared, Stats, Tally, TcpFront, Unit};
+use mg_server::{protocol, Json, LruCache, Request};
+use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -142,7 +145,10 @@ impl RouterConfig {
 }
 
 /// Per-session counters (the router-side analogue of
-/// [`mg_server::SessionSummary`]).
+/// [`mg_server::SessionSummary`]). `received` and `forwarded` are counted
+/// as requests decode and forward; `responses`, `cache_hits` and `errors`
+/// come from the writer's tally over the response stream — the same
+/// tally the session's router-local `stats` lines read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouterSummary {
     /// Request lines decoded (including failed ones).
@@ -151,11 +157,20 @@ pub struct RouterSummary {
     pub responses: u64,
     /// Requests forwarded to a shard.
     pub forwarded: u64,
-    /// Requests short-circuited by the router cache.
+    /// `cached: true` responses, whether the router cache or a shard
+    /// served them.
     pub cache_hits: u64,
-    /// Locally answered error responses.
+    /// Error responses, whoever produced them: the router's decoder, a
+    /// lost shard (`shard_unavailable`), a failed reader (`internal`) or
+    /// a shard's own error line.
     pub errors: u64,
 }
+
+/// The router's threaded TCP front end: one routed session per
+/// connection over the shared cache and pools. [`TcpFront::join`]
+/// returns once an in-band `shutdown` (or [`Router::initiate_shutdown`])
+/// stopped the router and every session drained.
+pub type RouterTcpServer = TcpFront<Router>;
 
 pub(crate) struct RouterCore {
     pub(crate) topology: Topology,
@@ -198,8 +213,8 @@ impl Prober {
 
 /// A running router: validated topology + shared cache + connection
 /// pools + (with `replicas > 1`) a background health prober. Sessions
-/// attach via [`Router::run_session`] (pipe transports) or the TCP front
-/// end in [`crate::transport`].
+/// attach via [`Router::run_session`] (pipe transports) or a
+/// [`RouterTcpServer`].
 pub struct Router {
     pub(crate) core: Arc<RouterCore>,
     prober: Option<Prober>,
@@ -302,71 +317,48 @@ impl Router {
         self.core.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Runs one full session over a generic line transport: requests are
-    /// read from `input` on the calling thread, responses stream to
-    /// `output` from a writer thread in submission order. Returns when
-    /// the input is exhausted (EOF or in-band `shutdown`) and every
-    /// response has been written.
-    pub fn run_session<R: BufRead, W: Write + Send>(
-        &self,
-        mut input: R,
-        mut output: W,
-    ) -> RouterSummary {
-        let mut driver = RouterSessionDriver::new(self.core.clone());
-        let shared = driver.shared();
-        let _ = crossbeam::scope(|scope| {
-            let out = &mut output;
-            let writer = scope.spawn(move |_| write_router_responses(&shared, out));
-            let mut scanner = UnitScanner::new();
-            'session: loop {
-                let consumed = match input.fill_buf() {
-                    Ok([]) => {
-                        // A final request without its `\n` terminator is
-                        // still a request.
-                        if let Some(tail) = scanner.take_eof_remainder() {
-                            driver.handle_unit(UnitKind::Line, &tail);
-                        }
-                        break;
-                    }
-                    Ok(chunk) => {
-                        scanner.push(chunk);
-                        chunk.len()
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                };
-                input.consume(consumed);
-                loop {
-                    match scanner.next_unit() {
-                        Ok(Some((kind, range))) => {
-                            let go = driver.handle_unit(kind, scanner.bytes(&range));
-                            if let Some(codec) = driver.take_codec_switch() {
-                                scanner.set_codec(codec);
-                            }
-                            if !go {
-                                break 'session;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            driver.protocol_error(&e.message);
-                            break 'session;
-                        }
-                    }
-                }
-            }
-            driver.finish();
-            // A panicked writer is an internal failure of this session
-            // only; the summary just reports zero written responses.
-            driver.summary.responses = writer.join().unwrap_or(0);
-        });
-        driver.summary
+    /// Runs one full session over a generic byte transport (pipe mode):
+    /// requests are read from `input` on the calling thread, responses
+    /// stream to `output` from a writer thread in submission order.
+    /// Returns when the input is exhausted (EOF or in-band `shutdown`)
+    /// and every response has been written.
+    pub fn run_session<R: Read, W: Write + Send>(&self, input: R, output: W) -> RouterSummary {
+        let done = self.serve(input, output);
+        RouterSummary {
+            received: done.received,
+            responses: done.tally.responses,
+            forwarded: done.handler.forwarded,
+            cache_hits: done.tally.cache_hits,
+            errors: done.tally.errors,
+        }
+    }
+}
+
+impl Host for Router {
+    type Handler = RouteHandler;
+    const NAME: &'static str = "router";
+
+    fn open(&self) -> RouteHandler {
+        let core = self.core.clone();
+        let shards = core.topology.len();
+        core.sessions.fetch_add(1, Ordering::SeqCst);
+        router_metrics().sessions_live.inc();
+        RouteHandler {
+            session: Arc::new(SessionState {
+                core,
+                slots: SessionShared::new(),
+                conns: Mutex::new((0..shards).map(|_| None).collect()),
+            }),
+            forwarded: 0,
+        }
     }
 
-    /// Opens a session driver for a custom transport (the TCP front end);
-    /// most callers want [`Router::run_session`].
-    pub(crate) fn open_session(&self) -> RouterSessionDriver {
-        RouterSessionDriver::new(self.core.clone())
+    fn is_shutting_down(&self) -> bool {
+        Router::is_shutting_down(self)
+    }
+
+    fn initiate_shutdown(&self) {
+        Router::initiate_shutdown(self);
     }
 }
 
@@ -441,14 +433,6 @@ impl RouterCore {
             .filter(|(index, _)| !self.alive(*index))
             .map(|(_, spec)| spec.id.clone())
             .collect()
-    }
-
-    fn cache_get(&self, key: &RouterKey) -> Option<String> {
-        lock_ok(&self.cache).get(key).cloned()
-    }
-
-    fn cache_put(&self, key: RouterKey, line: String) {
-        lock_ok(&self.cache).insert(key, line);
     }
 
     /// Forwards `shutdown` to every shard exactly once (whichever session
@@ -540,29 +524,12 @@ fn probe_once(core: &RouterCore, shard: usize, slot: &mut Option<BufReader<TcpSt
     alive
 }
 
-/// Trace state of one routed request: the router's root `request` span
-/// context plus the sampler verdict flag. Carried from decode to the
-/// delivery (or failure) that closes the root span.
-#[derive(Clone, Copy)]
-struct ReqTrace {
-    /// The router-side root span: `span_id` is the `request` span,
-    /// `parent_id` the client's span when the request arrived traced.
-    ctx: TraceContext,
-    /// Opened by the slow-request sampler; committed or discarded
-    /// against [`RouterConfig::trace_slow`] when the request resolves.
-    speculative: bool,
-    /// UNIX-epoch µs at decode — the root span's start timestamp.
-    start_us: u64,
-    /// Monotonic decode instant — the root span's duration clock.
-    started: Instant,
-}
-
 /// One dispatch leg of a traced entry: the span covering
 /// enqueue-on-a-connection through delivery. Failover opens a fresh leg
 /// parented under its `failover_replay` span.
 #[derive(Clone, Copy)]
 struct EntryTrace {
-    req: ReqTrace,
+    req: RequestTrace,
     /// Pre-allocated `dispatch` span id — stamped into the forwarded
     /// line so shard-side spans parent under this leg.
     dispatch_span: u64,
@@ -571,13 +538,30 @@ struct EntryTrace {
     dispatch_at: Instant,
 }
 
+impl EntryTrace {
+    /// Opens a dispatch leg under span `parent` and returns it with `raw`
+    /// stamped with the leg's propagation context, so the shard's spans
+    /// parent under this leg.
+    fn open(req: RequestTrace, parent: u64, raw: &str) -> (EntryTrace, Arc<str>) {
+        let leg = EntryTrace {
+            req,
+            dispatch_span: trace::next_span_id(),
+            dispatch_parent: parent,
+            dispatch_us: trace::now_us(),
+            dispatch_at: Instant::now(),
+        };
+        let stamped = stamp_trace(raw, req.ctx.trace_id, leg.dispatch_span);
+        (leg, stamped.into())
+    }
+}
+
 /// One forwarded-but-unanswered request.
 struct PendingEntry {
     /// Session submission index (the response slot to fill).
     index: u64,
     /// The request line a replay resends: the original bytes, except
     /// that traced entries carry the router's propagated `trace` field.
-    raw: String,
+    raw: Arc<str>,
     /// Router-cache key for cacheable (partition) requests.
     key: Option<RouterKey>,
     /// The request id, kept so a failure response can echo it without
@@ -620,32 +604,6 @@ fn stamp_trace(raw: &str, trace_id: u128, parent: u64) -> String {
     doc.to_string()
 }
 
-/// Closes a routed request's root `request` span and settles the
-/// sampler verdict: a speculative trace survives only when the request
-/// took at least [`RouterConfig::trace_slow`].
-fn close_req_trace(core: &RouterCore, rt: &ReqTrace) {
-    let total = rt.started.elapsed();
-    trace::record_span(
-        rt.ctx.trace_id,
-        rt.ctx.span_id,
-        rt.ctx.parent_id,
-        "request",
-        rt.start_us,
-        total,
-    );
-    if rt.speculative {
-        if core
-            .config
-            .trace_slow
-            .is_some_and(|threshold| total >= threshold)
-        {
-            trace::collector().commit(rt.ctx.trace_id);
-        } else {
-            trace::collector().discard(rt.ctx.trace_id);
-        }
-    }
-}
-
 /// Records the current `dispatch` leg of a traced entry — called
 /// exactly once per leg, where the leg ends (delivery, connection
 /// death, or reader failure).
@@ -677,6 +635,22 @@ struct ConnShared {
     dead: AtomicBool,
 }
 
+impl ConnShared {
+    /// Marks the connection dead and takes its pending entries. `dead` is
+    /// set under the pending lock so a racing `forward` either sees the
+    /// flag before enqueueing or its entry is taken here — never an
+    /// orphaned request.
+    fn kill(&self) -> Vec<PendingEntry> {
+        let drained = {
+            let mut pending = lock_ok(&self.pending);
+            self.dead.store(true, Ordering::SeqCst);
+            pending.drain(..).collect()
+        };
+        self.space.notify_all();
+        drained
+    }
+}
+
 struct ShardConn {
     shared: Arc<ConnShared>,
     reader: Option<std::thread::JoinHandle<()>>,
@@ -701,212 +675,47 @@ impl ShardConn {
     }
 }
 
-/// Response slots of one router session (the sliding-window scheme of
-/// `mg-server`, with deferred `stats` slots so the counters cover exactly
-/// the delivered prefix).
-enum RSlot {
-    Pending,
-    Ready {
-        line: String,
-        /// The response says `cached: true` (shard- or router-served).
-        cached: bool,
-        /// The response is an error line.
-        error: bool,
-        /// A `hello` negotiation: the writer emits this line in the old
-        /// codec, then switches.
-        switch: Option<WireCodec>,
-    },
-    Stats {
-        id: Json,
-        received: u64,
-        /// Open sessions on the router, sampled at decode time (≥ 1:
-        /// the asking session counts itself).
-        sessions: u64,
-        /// Present when the router runs replicated (`replicas > 1`):
-        /// lets the writer sample replica health at delivery time, after
-        /// every earlier response (and thus every failover that produced
-        /// one) has resolved.
-        core: Option<Arc<RouterCore>>,
-    },
+/// A router-local `stats` request, rendered by the writer: the
+/// decode-time counters plus the tally of every preceding response.
+pub struct RouterStats {
+    id: Json,
+    received: u64,
+    /// Open sessions on the router, sampled at decode time (≥ 1: the
+    /// asking session counts itself).
+    sessions: u64,
+    /// Present when the router runs replicated (`replicas > 1`): lets the
+    /// writer sample replica health at delivery time, after every earlier
+    /// response (and thus every failover that produced one) has resolved.
+    core: Option<Arc<RouterCore>>,
 }
 
-impl RSlot {
-    fn is_resolved(&self) -> bool {
-        !matches!(self, RSlot::Pending)
-    }
-}
-
-#[derive(Default)]
-struct RouterSlots {
-    base: u64,
-    slots: VecDeque<RSlot>,
-    input_done: bool,
-}
-
-#[derive(Default)]
-pub(crate) struct RouterShared {
-    state: Mutex<RouterSlots>,
-    ready: Condvar,
-    /// Forwarded-but-unresolved requests of this session. The writer
-    /// samples it when it renders a `stats` slot — by then the whole
-    /// preceding prefix has resolved, so in any script where no
-    /// partition request trails the `stats` request the value is
-    /// deterministically 0 (see `PROTOCOL.md` § Diagnostics).
-    outstanding: AtomicU64,
-}
-
-impl RouterShared {
-    fn lock(&self) -> MutexGuard<'_, RouterSlots> {
-        lock_ok(&self.state)
-    }
-
-    fn push_pending(&self) {
-        self.lock().slots.push_back(RSlot::Pending);
-    }
-
-    fn set(&self, index: u64, slot: RSlot) {
-        let mut state = self.lock();
-        let offset = (index - state.base) as usize;
-        state.slots[offset] = slot;
-        self.ready.notify_all();
-    }
-
-    fn set_line(&self, index: u64, line: String, cached: bool, error: bool) {
-        self.set(
-            index,
-            RSlot::Ready {
-                line,
-                cached,
-                error,
-                switch: None,
-            },
-        );
-    }
-
-    fn set_switch(&self, index: u64, line: String, codec: WireCodec) {
-        self.set(
-            index,
-            RSlot::Ready {
-                line,
-                cached: false,
-                error: false,
-                switch: Some(codec),
-            },
-        );
-    }
-
-    fn finish_input(&self) {
-        self.lock().input_done = true;
-        self.ready.notify_all();
-    }
-
-    /// Blocks until every slot except (optionally) `skip` is resolved —
-    /// the session-level drain. Covers requests in failover limbo (popped
-    /// from one pending queue, not yet re-enqueued on the next replica),
-    /// which per-connection queues alone would miss.
-    fn drain_resolved(&self, skip: Option<u64>) {
-        let mut state = self.lock();
-        loop {
-            let base = state.base;
-            let unresolved =
-                state.slots.iter().enumerate().any(|(offset, slot)| {
-                    !slot.is_resolved() && Some(base + offset as u64) != skip
-                });
-            if !unresolved {
-                return;
+impl Stats for RouterStats {
+    fn render(self, tally: &Tally, outstanding: u64) -> String {
+        let mut fields = vec![
+            ("id", self.id),
+            ("status", Json::Str("ok".into())),
+            ("op", Json::Str("stats".into())),
+            ("received", Json::UInt(self.received)),
+            ("cache_hits", Json::UInt(tally.cache_hits)),
+            ("errors", Json::UInt(tally.errors)),
+            ("sessions", Json::UInt(self.sessions)),
+            ("queue_depth", Json::UInt(outstanding)),
+        ];
+        // Replica diagnostics, only when something is actually dead: a
+        // healthy replicated topology reports byte-identically to an
+        // unreplicated one.
+        if let Some(core) = self.core {
+            let dead = core.dead_ids();
+            if !dead.is_empty() {
+                fields.push(("replicas", Json::UInt(core.config.replicas as u64)));
+                fields.push(("dead", Json::Arr(dead.into_iter().map(Json::Str).collect())));
+                fields.push((
+                    "failovers",
+                    Json::UInt(core.failovers.load(Ordering::SeqCst)),
+                ));
             }
-            state = wait_ok(&self.ready, state);
         }
-    }
-}
-
-/// Writer half of a router session: emits responses in submission order,
-/// tallying `cached: true` and error lines as they pass so a deferred
-/// `stats` slot reports exactly its prefix. Returns the number of
-/// responses written.
-pub(crate) fn write_router_responses<W: Write>(shared: &RouterShared, output: &mut W) -> u64 {
-    let mut written = 0u64;
-    let mut wire = WireCodec::JsonLines;
-    let mut cache_hits = 0u64;
-    let mut errors = 0u64;
-    loop {
-        let slot = {
-            let mut state = shared.lock();
-            loop {
-                if matches!(state.slots.front(), Some(slot) if slot.is_resolved()) {
-                    break;
-                }
-                if state.input_done && state.slots.front().is_none() {
-                    return written;
-                }
-                state = wait_ok(&shared.ready, state);
-            }
-            state.base += 1;
-            state.slots.pop_front().expect("checked front")
-        };
-        let mut switch = None;
-        let line = match slot {
-            RSlot::Pending => unreachable!("writer only pops resolved slots"),
-            RSlot::Ready {
-                line,
-                cached,
-                error,
-                switch: slot_switch,
-            } => {
-                if cached {
-                    cache_hits += 1;
-                }
-                if error {
-                    errors += 1;
-                }
-                switch = slot_switch;
-                line
-            }
-            RSlot::Stats {
-                id,
-                received,
-                sessions,
-                core,
-            } => {
-                let mut fields = vec![
-                    ("id", id),
-                    ("status", Json::Str("ok".into())),
-                    ("op", Json::Str("stats".into())),
-                    ("received", Json::UInt(received)),
-                    ("cache_hits", Json::UInt(cache_hits)),
-                    ("errors", Json::UInt(errors)),
-                    ("sessions", Json::UInt(sessions)),
-                    (
-                        "queue_depth",
-                        Json::UInt(shared.outstanding.load(Ordering::SeqCst)),
-                    ),
-                ];
-                // Replica diagnostics, only when something is actually
-                // dead: a healthy replicated topology reports byte-
-                // identically to an unreplicated one.
-                if let Some(core) = core {
-                    let dead = core.dead_ids();
-                    if !dead.is_empty() {
-                        fields.push(("replicas", Json::UInt(core.config.replicas as u64)));
-                        fields.push(("dead", Json::Arr(dead.into_iter().map(Json::Str).collect())));
-                        fields.push((
-                            "failovers",
-                            Json::UInt(core.failovers.load(Ordering::SeqCst)),
-                        ));
-                    }
-                }
-                obj(fields).to_string()
-            }
-        };
-        // Shard responses are forwarded opaquely: whatever codec the
-        // *client* negotiated, the response document's text is the shard
-        // line byte-for-byte — only the framing around it changes.
-        if codec::write_response_unit(output, wire, &line).is_ok() {
-            written += 1;
-        }
-        if let Some(next) = switch {
-            wire = next;
-        }
+        obj(fields).to_string()
     }
 }
 
@@ -915,7 +724,7 @@ pub(crate) fn write_router_responses<W: Write>(shared: &RouterShared, output: &m
 /// replicas (which may need fresh connections) from the reader itself.
 struct SessionState {
     core: Arc<RouterCore>,
-    slots: Arc<RouterShared>,
+    slots: Arc<SessionShared<RouterStats>>,
     conns: Mutex<Vec<Option<ShardConn>>>,
 }
 
@@ -995,16 +804,7 @@ impl SessionState {
     /// exhausted.
     fn fail_over(self: &Arc<Self>, shard: usize, conn: &ConnShared) {
         self.core.mark_alive(shard, false);
-        let drained: Vec<PendingEntry> = {
-            // `dead` is set under the pending lock so a racing `forward`
-            // either sees the flag before enqueueing or its entry is
-            // drained here — never an orphaned request.
-            let mut pending = lock_ok(&conn.pending);
-            conn.dead.store(true, Ordering::SeqCst);
-            pending.drain(..).collect()
-        };
-        conn.space.notify_all();
-        for entry in drained {
+        for entry in conn.kill() {
             self.dispatch_failover(entry, shard);
         }
     }
@@ -1026,23 +826,13 @@ impl SessionState {
             // fresh dispatch leg parented to it, restamped into the
             // resent line so the surviving shard's spans link back
             // through the replay.
-            let replay = if let Some(t) = entry.trace {
+            let replay = entry.trace.map(|t| {
                 let span = t.req.ctx.child();
-                let replay_at = Instant::now();
-                let replay_us = trace::now_us();
-                let leg = EntryTrace {
-                    req: t.req,
-                    dispatch_span: trace::next_span_id(),
-                    dispatch_parent: span.span_id,
-                    dispatch_us: replay_us,
-                    dispatch_at: replay_at,
-                };
-                entry.raw = stamp_trace(&entry.raw, t.req.ctx.trace_id, leg.dispatch_span);
+                let (leg, raw) = EntryTrace::open(t.req, span.span_id, &entry.raw);
+                entry.raw = raw;
                 entry.trace = Some(leg);
-                Some((span, replay_us, replay_at))
-            } else {
-                None
-            };
+                (span, leg.dispatch_us, leg.dispatch_at)
+            });
             match self.replay_entry(next, entry) {
                 Ok(()) => {
                     if let Some((span, start_us, at)) = replay {
@@ -1087,32 +877,29 @@ impl SessionState {
     fn replay_entry(
         self: &Arc<Self>,
         shard: usize,
-        mut entry: PendingEntry,
+        entry: PendingEntry,
     ) -> Result<(), Box<PendingEntry>> {
-        let Ok(conn) = self.connection(shard) else {
-            return Err(Box::new(entry));
-        };
-        let raw = entry.raw.clone();
-        let stream = lock_ok(&conn.stream);
-        {
-            let mut pending = lock_ok(&conn.pending);
-            if conn.dead.load(Ordering::SeqCst) {
-                return Err(Box::new(entry));
-            }
-            entry.enqueued = Instant::now();
-            pending.push_back(entry);
+        match self.connection(shard) {
+            Ok(conn) => send(&conn, entry),
+            Err(_) => Err(Box::new(entry)),
         }
-        let mut w = &*stream;
-        let write_ok =
-            w.write_all(raw.as_bytes()).is_ok() && w.write_all(b"\n").is_ok() && w.flush().is_ok();
-        drop(stream);
-        if !write_ok {
-            // The entry is pending on the new connection; poke its reader
-            // so reconnect-and-replay (or a further failover) picks it up.
-            let stream = lock_ok(&conn.stream);
-            let _ = stream.shutdown(std::net::Shutdown::Read);
+    }
+
+    /// Resolves a forwarded entry's slot: closes its trace, observes the
+    /// per-shard latency, and takes it off the outstanding counts
+    /// *before* the slot resolves — the writer samples `outstanding` when
+    /// it renders a `stats` slot, which it reaches only after every
+    /// preceding slot resolved, so decrementing first keeps the sampled
+    /// value deterministic.
+    fn settle(&self, entry: &PendingEntry, shard: usize, reply: Reply) {
+        if let Some(t) = &entry.trace {
+            t.req.close();
         }
-        Ok(())
+        router_request_seconds(&self.core.topology.shards()[shard].id)
+            .observe(entry.started.elapsed().as_secs_f64());
+        self.slots.outstanding.fetch_sub(1, Ordering::SeqCst);
+        router_metrics().pending.dec();
+        self.slots.resolve(entry.index, reply);
     }
 
     /// Resolves an entry whose replica set is exhausted with the typed
@@ -1128,29 +915,15 @@ impl SessionState {
             ),
             Some(&spec.id),
         );
-        // The current leg was already recorded by `dispatch_failover`;
-        // only the root span and the sampler verdict remain.
-        if let Some(t) = &entry.trace {
-            close_req_trace(&self.core, &t.req);
-        }
-        router_request_seconds(&spec.id).observe(entry.started.elapsed().as_secs_f64());
-        // Decrement before resolving, as in `deliver_response`.
-        self.slots.outstanding.fetch_sub(1, Ordering::SeqCst);
-        router_metrics().pending.dec();
-        self.slots.set_line(entry.index, line, false, true);
+        // The current leg was already recorded by `dispatch_failover`.
+        self.settle(&entry, shard, Reply::error(line));
     }
 
     /// Resolves every pending entry of a conn with a typed `internal`
     /// error — the degraded (but draining) outcome of a panicked reader.
     fn fail_internal(&self, shard: usize, conn: &ConnShared) {
         let spec = &self.core.topology.shards()[shard];
-        let drained: Vec<PendingEntry> = {
-            let mut pending = lock_ok(&conn.pending);
-            conn.dead.store(true, Ordering::SeqCst);
-            pending.drain(..).collect()
-        };
-        conn.space.notify_all();
-        for entry in drained {
+        for entry in conn.kill() {
             let line = protocol::error_response(
                 &entry.id,
                 ErrorCode::Internal,
@@ -1158,16 +931,80 @@ impl SessionState {
                 Some(&spec.id),
             );
             record_entry_dispatch(&entry);
-            if let Some(t) = &entry.trace {
-                close_req_trace(&self.core, &t.req);
-            }
-            router_request_seconds(&spec.id).observe(entry.started.elapsed().as_secs_f64());
-            // Decrement before resolving, as in `deliver_response`.
-            self.slots.outstanding.fetch_sub(1, Ordering::SeqCst);
-            router_metrics().pending.dec();
-            self.slots.set_line(entry.index, line, false, true);
+            self.settle(&entry, shard, Reply::error(line));
         }
     }
+
+    /// Matches one shard response line with the oldest pending request:
+    /// stores cacheable successes in the router cache (as their
+    /// `cached: true` variant), records the entry's dispatch leg, and
+    /// settles its slot.
+    fn deliver_response(&self, shard: usize, conn: &ConnShared, line: String) {
+        let entry = {
+            let mut pending = lock_ok(&conn.pending);
+            let entry = pending.pop_front();
+            conn.space.notify_all();
+            entry
+        };
+        let Some(entry) = entry else {
+            // A response with no matching request: protocol violation;
+            // drop the line rather than corrupting slot order.
+            return;
+        };
+        // One parse per response line: metadata and the cache-stored
+        // rewrite both come from this document.
+        let doc = Json::parse(&line).ok();
+        let field = |name: &str| doc.as_ref().and_then(|d| d.get(name));
+        let status = field("status").and_then(Json::as_str).unwrap_or("");
+        let cached = field("cached").and_then(Json::as_bool).unwrap_or(false);
+        let error = status == "error";
+        if status == "ok" {
+            if let (Some(key), Some(doc)) = (entry.key, &doc) {
+                if let Some(stored) = cached_true_of(doc) {
+                    lock_ok(&self.core.cache).insert(key, stored);
+                }
+            }
+        }
+        record_entry_dispatch(&entry);
+        let reply = Reply {
+            line,
+            cached,
+            error,
+            ..Reply::default()
+        };
+        self.settle(&entry, shard, reply);
+    }
+}
+
+/// Enqueues `entry` on `conn` and writes its line, both under the stream
+/// lock, so the wire order always equals the pending order (what a replay
+/// resends). The dead-check happens under the pending lock, mirroring the
+/// reader's idle-EOF retirement, so no entry lands on a retired
+/// connection unseen; the entry comes back if the connection is dead. A
+/// failed write pokes the reader — shuts the read half down — so
+/// reconnect-and-replay (or failover) picks up the now-pending entry.
+fn send(conn: &ConnShared, mut entry: PendingEntry) -> Result<(), Box<PendingEntry>> {
+    let raw = entry.raw.clone();
+    let stream = lock_ok(&conn.stream);
+    {
+        let mut pending = lock_ok(&conn.pending);
+        if conn.dead.load(Ordering::SeqCst) {
+            return Err(Box::new(entry));
+        }
+        entry.enqueued = Instant::now();
+        pending.push_back(entry);
+    }
+    if !write_line(&stream, &raw) {
+        let _ = stream.shutdown(std::net::Shutdown::Read);
+    }
+    Ok(())
+}
+
+/// Writes one request line; `false` when the connection failed.
+fn write_line(mut stream: &TcpStream, line: &str) -> bool {
+    stream.write_all(line.as_bytes()).is_ok()
+        && stream.write_all(b"\n").is_ok()
+        && stream.flush().is_ok()
 }
 
 /// Removes and returns the best remaining candidate: the first replica
@@ -1270,7 +1107,7 @@ fn reader_loop(session: &Arc<SessionState>, shard: usize, conn: &Arc<ConnShared>
                         .trim_end_matches(['\r', '\n'])
                         .to_string();
                     buf.clear();
-                    deliver_response(core, shard, conn, &session.slots, &line);
+                    session.deliver_response(shard, conn, line);
                 }
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -1287,64 +1124,6 @@ fn reader_loop(session: &Arc<SessionState>, shard: usize, conn: &Arc<ConnShared>
     }
 }
 
-/// Matches one shard response line with the oldest pending request:
-/// stores cacheable successes in the router cache (as their
-/// `cached: true` variant), closes the entry's trace spans, observes
-/// the per-shard latency histogram, and resolves the session slot.
-fn deliver_response(
-    core: &RouterCore,
-    shard: usize,
-    conn: &ConnShared,
-    slots: &RouterShared,
-    line: &str,
-) {
-    let entry = {
-        let mut pending = lock_ok(&conn.pending);
-        let entry = pending.pop_front();
-        conn.space.notify_all();
-        entry
-    };
-    let Some(entry) = entry else {
-        // A response with no matching request: protocol violation; drop
-        // the line rather than corrupting slot order.
-        return;
-    };
-    // One parse per response line: metadata and the cache-stored rewrite
-    // both come from this document.
-    let doc = Json::parse(line).ok();
-    let status = doc
-        .as_ref()
-        .and_then(|d| d.get("status"))
-        .and_then(Json::as_str)
-        .unwrap_or("");
-    let cached = doc
-        .as_ref()
-        .and_then(|d| d.get("cached"))
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-    let error = status == "error";
-    if status == "ok" {
-        if let (Some(key), Some(doc)) = (entry.key, &doc) {
-            if let Some(stored) = cached_true_of(doc) {
-                core.cache_put(key, stored);
-            }
-        }
-    }
-    record_entry_dispatch(&entry);
-    if let Some(t) = &entry.trace {
-        close_req_trace(core, &t.req);
-    }
-    router_request_seconds(&core.topology.shards()[shard].id)
-        .observe(entry.started.elapsed().as_secs_f64());
-    // Decrement *before* resolving the slot: the writer samples
-    // `outstanding` when it renders a `stats` slot, which it can only
-    // reach after every preceding slot resolved — so decrementing first
-    // keeps the sampled value deterministic.
-    slots.outstanding.fetch_sub(1, Ordering::SeqCst);
-    router_metrics().pending.dec();
-    slots.set_line(entry.index, line.to_string(), cached, error);
-}
-
 /// Redials the shard and replays the pending queue in order. Returns
 /// `false` when the shard stayed unreachable through the configured
 /// attempts.
@@ -1356,14 +1135,7 @@ fn reconnect_and_replay(core: &RouterCore, shard: usize, conn: &ConnShared) -> b
     let mut pending = lock_ok(&conn.pending);
     let now = Instant::now();
     for entry in pending.iter_mut() {
-        if fresh.peer_addr().is_err() {
-            return false;
-        }
-        let mut w = &fresh;
-        if w.write_all(entry.raw.as_bytes()).is_err()
-            || w.write_all(b"\n").is_err()
-            || w.flush().is_err()
-        {
+        if fresh.peer_addr().is_err() || !write_line(&fresh, &entry.raw) {
             return false;
         }
         // The deadline clock restarts with the rewrite.
@@ -1373,225 +1145,80 @@ fn reconnect_and_replay(core: &RouterCore, shard: usize, conn: &ConnShared) -> b
     true
 }
 
-/// Reader half of a router session, usable from any transport: feed it
-/// request lines, run [`write_router_responses`] from a writer thread,
-/// and call [`RouterSessionDriver::finish`] when the input ends.
-pub(crate) struct RouterSessionDriver {
+/// A routed session's request handler: answers `ping`, router-local
+/// `stats`, decode errors and router-cache hits itself and forwards the
+/// rest to shards, whose reader threads resolve the session's slots.
+pub struct RouteHandler {
     session: Arc<SessionState>,
-    pub(crate) summary: RouterSummary,
-    next_index: u64,
-    /// A `hello` just switched the *inbound* codec; the transport takes
-    /// this and retunes its scanner before the next unit.
-    pending_switch: Option<WireCodec>,
+    /// Requests forwarded to a shard.
+    forwarded: u64,
 }
 
-impl RouterSessionDriver {
-    fn new(core: Arc<RouterCore>) -> Self {
-        let shards = core.topology.len();
-        core.sessions.fetch_add(1, Ordering::SeqCst);
-        router_metrics().sessions_live.inc();
-        RouterSessionDriver {
-            session: Arc::new(SessionState {
-                core,
-                slots: Arc::new(RouterShared::default()),
-                conns: Mutex::new((0..shards).map(|_| None).collect()),
-            }),
-            summary: RouterSummary::default(),
-            next_index: 0,
-            pending_switch: None,
-        }
+impl Handler for RouteHandler {
+    type Stats = RouterStats;
+
+    fn shared(&self) -> &Arc<SessionShared<RouterStats>> {
+        &self.session.slots
     }
 
+    fn handle(&mut self, unit: Unit, request: Request, line: Option<&str>) -> bool {
+        // Text requests forward as the original line; a binary partition
+        // payload forwards to the (JSON-lines) shards as its canonical
+        // re-rendered line.
+        let raw = line.map_or_else(|| Cow::Owned(codec::request_json_line(&request)), Cow::from);
+        match request.op {
+            RequestOp::Ping => {
+                let line = protocol::op_response(&request.id, "ping");
+                self.session.slots.resolve(unit.index, Reply::ok(line));
+            }
+            RequestOp::Stats => self.handle_stats(unit, &raw, request.id, request.shard),
+            RequestOp::Shutdown => {
+                self.handle_shutdown(unit.index, &request.id);
+                return false;
+            }
+            RequestOp::Hello => unreachable!("the session engine answers hello"),
+            RequestOp::Partition => {
+                let spec = request.spec.expect("partition requests carry a spec");
+                self.route_partition(unit.index, &raw, request.id, spec, request.trace);
+            }
+        }
+        true
+    }
+
+    fn admitted(&mut self) {
+        router_metrics().requests.inc();
+    }
+
+    /// Ends the session: waits out in-flight forwards (including requests
+    /// in failover limbo between two pending queues), then retires the
+    /// connections, pooling the clean ones.
+    fn finish(&mut self) {
+        self.session.slots.drain_resolved(None);
+        for (shard, stream) in self.retire_connections().into_iter().enumerate() {
+            if let Some(stream) = stream {
+                if !self.core().shutdown.load(Ordering::SeqCst) {
+                    self.core().return_connection(shard, stream);
+                }
+            }
+        }
+    }
+}
+
+impl RouteHandler {
     fn core(&self) -> &Arc<RouterCore> {
         &self.session.core
     }
 
-    pub(crate) fn shared(&self) -> Arc<RouterShared> {
-        self.session.slots.clone()
-    }
-
-    /// Allocates the next response slot in stream order.
-    fn begin(&mut self) -> u64 {
-        let index = self.next_index;
-        self.next_index += 1;
-        self.summary.received += 1;
-        router_metrics().requests.inc();
-        self.session.slots.push_pending();
-        index
-    }
-
-    /// Handles one scanned protocol unit (a request line or a binary
-    /// frame payload). Returns `false` when the session should stop
-    /// reading (an in-band `shutdown`).
-    pub(crate) fn handle_unit(&mut self, kind: UnitKind, bytes: &[u8]) -> bool {
-        match kind {
-            UnitKind::Line => self.handle_text(bytes),
-            UnitKind::Frame => self.handle_frame(bytes),
-        }
-    }
-
-    /// After a unit containing a `hello`: the codec the inbound scanner
-    /// must switch to before the next unit.
-    pub(crate) fn take_codec_switch(&mut self) -> Option<WireCodec> {
-        self.pending_switch.take()
-    }
-
-    /// Reports a fatal framing violation as a typed error response; the
-    /// transport closes the session after this.
-    pub(crate) fn protocol_error(&mut self, message: &str) {
-        let index = self.begin();
-        self.local_error(index, &Json::Null, ErrorCode::BadRequest, message, None);
-    }
-
-    fn handle_text(&mut self, bytes: &[u8]) -> bool {
-        match std::str::from_utf8(bytes) {
-            Ok(text) => self.handle_line(text.trim_end_matches('\r')),
-            Err(_) => {
-                let index = self.begin();
-                self.local_error(
-                    index,
-                    &Json::Null,
-                    ErrorCode::BadRequest,
-                    "request bytes are not valid UTF-8",
-                    None,
-                );
-                true
-            }
-        }
-    }
-
-    /// A binary frame at the router's edge: JSON payloads re-enter the
-    /// line path (and are forwarded as the original text); binary
-    /// partition payloads are decoded once and forwarded to the (JSON-
-    /// lines) shards as their canonical re-rendered line.
-    fn handle_frame(&mut self, payload: &[u8]) -> bool {
-        match payload.split_first() {
-            None => {
-                let index = self.begin();
-                self.local_error(
-                    index,
-                    &Json::Null,
-                    ErrorCode::BadRequest,
-                    "empty frame",
-                    None,
-                );
-                true
-            }
-            Some((&codec::KIND_JSON, body)) => self.handle_text(body),
-            Some((&codec::KIND_PARTITION, body)) => {
-                let index = self.begin();
-                match codec::decode_partition_payload(body) {
-                    Ok(request) => {
-                        let line = codec::request_json_line(&request);
-                        let spec = request.spec.expect("partition requests carry a spec");
-                        // Binary frames carry no trace field; the slow
-                        // sampler may still open one inside.
-                        self.route_partition(index, &line, request.id, spec, request.trace);
-                        true
-                    }
-                    Err(e) => {
-                        self.local_error(index, &e.id, e.code, &e.message, None);
-                        true
-                    }
-                }
-            }
-            Some((&codec::KIND_BATCH, body)) => match codec::batch_subframes(body) {
-                Ok(subs) => {
-                    for sub in subs {
-                        if !self.handle_frame(&body[sub]) {
-                            return false;
-                        }
-                    }
-                    true
-                }
-                Err(message) => {
-                    let index = self.begin();
-                    self.local_error(index, &Json::Null, ErrorCode::BadRequest, &message, None);
-                    true
-                }
-            },
-            Some((&kind, _)) => {
-                let index = self.begin();
-                self.local_error(
-                    index,
-                    &Json::Null,
-                    ErrorCode::BadRequest,
-                    &format!("unknown frame kind 0x{kind:02x}"),
-                    None,
-                );
-                true
-            }
-        }
-    }
-
-    /// Decodes and routes one request line. Returns `false` when the
-    /// session should stop reading (an in-band `shutdown`).
-    pub(crate) fn handle_line(&mut self, raw: &str) -> bool {
-        let line = raw.trim();
-        if line.is_empty() {
-            return true;
-        }
-        let index = self.begin();
-        let request = match protocol::parse_request_line(line) {
-            Ok(request) => request,
-            Err(e) => {
-                self.local_error(index, &e.id, e.code, &e.message, None);
-                return true;
-            }
-        };
-        match request.op {
-            RequestOp::Ping => {
-                self.session.slots.set_line(
-                    index,
-                    protocol::op_response(&request.id, "ping"),
-                    false,
-                    false,
-                );
-                true
-            }
-            RequestOp::Stats => {
-                self.handle_stats(index, line, request.id, request.shard);
-                true
-            }
-            RequestOp::Shutdown => {
-                self.handle_shutdown(index, request.id);
-                false
-            }
-            RequestOp::Hello => {
-                // Codec negotiation is strictly between client and
-                // router; shard connections always speak JSON lines.
-                let codec = request.codec.unwrap_or(WireCodec::JsonLines);
-                self.pending_switch = Some(codec);
-                self.session.slots.set_switch(
-                    index,
-                    protocol::hello_response(&request.id, codec),
-                    codec,
-                );
-                true
-            }
-            RequestOp::Partition => {
-                let spec = request.spec.expect("partition requests carry a spec");
-                self.route_partition(index, line, request.id, spec, request.trace);
-                true
-            }
-        }
-    }
-
     fn local_error(
-        &mut self,
+        &self,
         index: u64,
         id: &Json,
         code: ErrorCode,
         message: &str,
         shard: Option<&str>,
     ) {
-        self.summary.errors += 1;
-        self.session.slots.set_line(
-            index,
-            protocol::error_response(id, code, message, shard),
-            false,
-            true,
-        );
+        let line = protocol::error_response(id, code, message, shard);
+        self.session.slots.resolve(index, Reply::error(line));
     }
 
     /// `stats` without a `shard` field is answered by the router itself
@@ -1599,73 +1226,41 @@ impl RouterSessionDriver {
     /// and validated by the protocol codec — the raw line is forwarded to
     /// the named shard, whose response carries its own counters and
     /// `shard` tag.
-    fn handle_stats(&mut self, index: u64, raw: &str, id: Json, shard: Option<String>) {
-        match shard {
-            None => {
-                let received = self.summary.received;
-                let sessions = self.core().sessions.load(Ordering::SeqCst);
-                let core = (self.core().config.replicas > 1).then(|| self.core().clone());
-                self.session.slots.set(
-                    index,
-                    RSlot::Stats {
-                        id,
-                        received,
-                        sessions,
-                        core,
-                    },
-                );
-            }
-            Some(name) => match self.core().topology.index_of(&name) {
-                Some(shard) => self.forward(
-                    &ForwardReq {
-                        index,
-                        raw,
-                        key: None,
-                        id: &id,
-                        rt: None,
-                    },
-                    vec![shard],
-                ),
-                None => {
-                    let message = format!(
-                        "no shard named {name:?} in the topology ({})",
-                        self.core()
-                            .topology
-                            .shards()
-                            .iter()
-                            .map(|s| s.id.as_str())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                    self.local_error(index, &id, ErrorCode::UnknownShard, &message, None);
-                }
-            },
-        }
-    }
-
-    /// Opens the trace for one partition request: the router's root
-    /// `request` span, parented under the client's context when the
-    /// request arrived traced, or a speculative sampler trace when
-    /// [`RouterConfig::trace_slow`] is set.
-    fn begin_trace(&self, wire: Option<mg_obs::WireTrace>, started: Instant) -> Option<ReqTrace> {
-        let start_us = trace::now_us();
-        match wire {
-            Some(w) => Some(ReqTrace {
-                ctx: TraceContext {
-                    trace_id: w.trace_id,
-                    span_id: trace::next_span_id(),
-                    parent_id: w.parent,
+    fn handle_stats(&mut self, unit: Unit, raw: &str, id: Json, shard: Option<String>) {
+        let Some(name) = shard else {
+            let stats = RouterStats {
+                id,
+                received: unit.received,
+                sessions: self.core().sessions.load(Ordering::SeqCst),
+                core: (self.core().config.replicas > 1).then(|| self.core().clone()),
+            };
+            self.session.slots.defer(unit.index, stats);
+            return;
+        };
+        match self.core().topology.index_of(&name) {
+            Some(shard) => self.forward(
+                &ForwardReq {
+                    index: unit.index,
+                    raw,
+                    key: None,
+                    id: &id,
+                    rt: None,
                 },
-                speculative: false,
-                start_us,
-                started,
-            }),
-            None => self.core().config.trace_slow.map(|_| ReqTrace {
-                ctx: trace::collector().begin_speculative(),
-                speculative: true,
-                start_us,
-                started,
-            }),
+                vec![shard],
+            ),
+            None => {
+                let message = format!(
+                    "no shard named {name:?} in the topology ({})",
+                    self.core()
+                        .topology
+                        .shards()
+                        .iter()
+                        .map(|s| s.id.as_str())
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                );
+                self.local_error(unit.index, &id, ErrorCode::UnknownShard, &message, None);
+            }
         }
     }
 
@@ -1678,33 +1273,49 @@ impl RouterSessionDriver {
         wire: Option<mg_obs::WireTrace>,
     ) {
         let started = Instant::now();
-        let rt = self.begin_trace(wire, started);
-        if self.core().shutdown.load(Ordering::SeqCst) {
-            self.local_error(
-                index,
-                &id,
+        // The router's root `request` span, parented under the client's
+        // context when the request arrived traced, or a speculative
+        // sampler trace when `trace_slow` is set.
+        let rt = RequestTrace::open(
+            wire,
+            self.core().config.trace_slow,
+            trace::now_us(),
+            started,
+        );
+        let rejected = if self.core().shutdown.load(Ordering::SeqCst) {
+            Err((
                 ErrorCode::ShuttingDown,
-                "router is draining; request rejected",
-                None,
-            );
-            if let Some(rt) = &rt {
-                close_req_trace(self.core(), rt);
-            }
-            return;
-        }
-        let placement = match placement_key(&spec.matrix) {
+                "router is draining; request rejected".to_string(),
+            ))
+        } else {
+            placement_key(&spec.matrix)
+        };
+        let placement = match rejected {
             Ok(placement) => placement,
             Err((code, message)) => {
                 self.local_error(index, &id, code, &message, None);
                 if let Some(rt) = &rt {
-                    close_req_trace(self.core(), rt);
+                    rt.close();
                 }
                 return;
             }
         };
         // The `route` span covers the synchronous routing decision:
         // placement, cache lookup, replica ranking.
-        let route_span = rt.as_ref().map(|rt| rt.ctx.child());
+        let route_span = rt.map(|rt| (rt, rt.ctx.child()));
+        let close_route = || {
+            if let Some((rt, rs)) = &route_span {
+                let elapsed = rt.started.elapsed();
+                trace::record_span(
+                    rs.trace_id,
+                    rs.span_id,
+                    rs.parent_id,
+                    "route",
+                    rt.start_us,
+                    elapsed,
+                );
+            }
+        };
         let key: RouterKey = (
             placement.key,
             spec.method,
@@ -1715,30 +1326,23 @@ impl RouterSessionDriver {
         );
         let lookup_us = trace::now_us();
         let lookup_at = Instant::now();
-        let stored = self.core().cache_get(&key);
-        if let Some(rs) = &route_span {
+        let stored = lock_ok(&self.core().cache).get(&key).cloned();
+        if let Some((_, rs)) = &route_span {
             trace::record_child(rs, "cache_lookup", lookup_us, lookup_at.elapsed());
         }
-        if let Some(stored) = stored {
-            if let Some(line) = with_id(&stored, &id) {
-                self.summary.cache_hits += 1;
-                router_metrics().cache_hits.inc();
-                self.session.slots.set_line(index, line, true, false);
-                if let Some(rt) = &rt {
-                    let rs = route_span.expect("route span exists whenever rt does");
-                    trace::record_span(
-                        rs.trace_id,
-                        rs.span_id,
-                        rs.parent_id,
-                        "route",
-                        rt.start_us,
-                        rt.started.elapsed(),
-                    );
-                    close_req_trace(self.core(), rt);
-                }
-                router_request_seconds("router").observe(started.elapsed().as_secs_f64());
-                return;
+        if let Some(line) = stored.and_then(|stored| with_id(&stored, &id)) {
+            router_metrics().cache_hits.inc();
+            let reply = Reply {
+                cached: true,
+                ..Reply::ok(line)
+            };
+            self.session.slots.resolve(index, reply);
+            close_route();
+            if let Some(rt) = &rt {
+                rt.close();
             }
+            router_request_seconds("router").observe(started.elapsed().as_secs_f64());
+            return;
         }
         // Pre-validated: the request field by the protocol decoder, the
         // default by Router::new.
@@ -1758,17 +1362,7 @@ impl RouterSessionDriver {
         // Close `route` before the forward: the dispatch leg owns the
         // enqueue-through-delivery window, and a speculative trace may
         // be settled by the reader the moment the write lands.
-        if let Some(rt) = &rt {
-            let rs = route_span.expect("route span exists whenever rt does");
-            trace::record_span(
-                rs.trace_id,
-                rs.span_id,
-                rs.parent_id,
-                "route",
-                rt.start_us,
-                rt.started.elapsed(),
-            );
-        }
+        close_route();
         self.forward(
             &ForwardReq {
                 index,
@@ -1793,7 +1387,7 @@ impl RouterSessionDriver {
                 unreachable!("forward always receives at least one candidate");
             };
             match self.try_forward(req, shard, &remaining) {
-                ForwardOutcome::Sent => {
+                Ok(()) => {
                     if shard != primary {
                         // Dispatched away from its top rank — whether the
                         // primary is believed dead or just failed to
@@ -1801,10 +1395,10 @@ impl RouterSessionDriver {
                         self.core().failovers.fetch_add(1, Ordering::SeqCst);
                         router_metrics().failovers.inc();
                     }
-                    self.summary.forwarded += 1;
+                    self.forwarded += 1;
                     return;
                 }
-                ForwardOutcome::ShardLost(message) => {
+                Err(message) => {
                     self.core().mark_alive(shard, false);
                     if remaining.is_empty() {
                         let shard_id = self.core().topology.shards()[shard].id.clone();
@@ -1816,7 +1410,7 @@ impl RouterSessionDriver {
                             Some(&shard_id),
                         );
                         if let Some(rt) = &req.rt {
-                            close_req_trace(self.core(), rt);
+                            rt.close();
                         }
                         return;
                     }
@@ -1825,18 +1419,21 @@ impl RouterSessionDriver {
         }
     }
 
-    /// One forwarding attempt against one shard.
+    /// One forwarding attempt against one shard: `Ok` once the request
+    /// is enqueued and written (or poked for replay) — the reader answers
+    /// it or fails it over — or the would-be `shard_unavailable`
+    /// diagnostic when the shard could not take it at all.
     fn try_forward(
         &mut self,
         req: &ForwardReq,
         shard: usize,
         fallbacks: &[usize],
-    ) -> ForwardOutcome {
+    ) -> Result<(), String> {
         let conn = match self.session.connection(shard) {
             Ok(conn) => conn,
             Err(e) => {
                 let spec = &self.core().topology.shards()[shard];
-                return ForwardOutcome::ShardLost(format!(
+                return Err(format!(
                     "shard {:?} at {} is unreachable: {e}",
                     spec.id, spec.addr
                 ));
@@ -1854,127 +1451,75 @@ impl RouterSessionDriver {
                 pending = wait_ok(&conn.space, pending);
             }
         }
-        // A traced forward opens its `dispatch` leg here and stamps the
-        // propagated context into the line it sends, so the shard's
-        // spans parent under this leg. Untraced lines are forwarded
-        // byte-for-byte.
-        let trace = req.rt.map(|rt| EntryTrace {
-            req: rt,
-            dispatch_span: trace::next_span_id(),
-            dispatch_parent: rt.ctx.span_id,
-            dispatch_us: trace::now_us(),
-            dispatch_at: Instant::now(),
-        });
-        let send = match &trace {
-            Some(t) => stamp_trace(req.raw, t.req.ctx.trace_id, t.dispatch_span),
-            None => req.raw.to_string(),
-        };
-        // Enqueue *then* write, both under the stream lock, so the wire
-        // order always equals the pending order (what a replay resends).
-        // The dead-check happens under the pending lock, mirroring the
-        // reader's idle-EOF retirement, so no entry lands on a retired
-        // connection unseen.
-        let stream = lock_ok(&conn.stream);
-        {
-            let mut pending = lock_ok(&conn.pending);
-            if conn.dead.load(Ordering::SeqCst) {
-                drop(pending);
-                drop(stream);
-                let spec = &self.core().topology.shards()[shard];
-                return ForwardOutcome::ShardLost(format!(
-                    "shard {:?} at {} became unreachable; request not forwarded",
-                    spec.id, spec.addr
-                ));
+        // A traced forward opens its `dispatch` leg here; untraced lines
+        // are forwarded byte-for-byte.
+        let (trace, raw) = match req.rt {
+            Some(rt) => {
+                let (leg, raw) = EntryTrace::open(rt, rt.ctx.span_id, req.raw);
+                (Some(leg), raw)
             }
-            pending.push_back(PendingEntry {
-                index: req.index,
-                raw: send.clone(),
-                key: req.key,
-                id: req.id.clone(),
-                fallbacks: fallbacks.to_vec(),
-                enqueued: Instant::now(),
-                started: req.rt.map_or_else(Instant::now, |rt| rt.started),
-                trace,
-            });
+            None => (None, Arc::from(req.raw)),
+        };
+        let entry = PendingEntry {
+            index: req.index,
+            raw,
+            key: req.key,
+            id: req.id.clone(),
+            fallbacks: fallbacks.to_vec(),
+            enqueued: Instant::now(),
+            started: req.rt.map_or_else(Instant::now, |rt| rt.started),
+            trace,
+        };
+        // Outstanding from before the entry is visible to its reader,
+        // which settles it.
+        self.session
+            .slots
+            .outstanding
+            .fetch_add(1, Ordering::SeqCst);
+        router_metrics().pending.inc();
+        let spec = &self.core().topology.shards()[shard];
+        if send(&conn, entry).is_err() {
             self.session
                 .slots
                 .outstanding
-                .fetch_add(1, Ordering::SeqCst);
-            router_metrics().pending.inc();
-            dispatch_counter(&self.core().topology.shards()[shard].id).inc();
+                .fetch_sub(1, Ordering::SeqCst);
+            router_metrics().pending.dec();
+            return Err(format!(
+                "shard {:?} at {} became unreachable; request not forwarded",
+                spec.id, spec.addr
+            ));
         }
-        let mut w = &*stream;
-        let write_ok =
-            w.write_all(send.as_bytes()).is_ok() && w.write_all(b"\n").is_ok() && w.flush().is_ok();
-        drop(stream);
-        if !write_ok {
-            // Poke the reader: shut the read half down so it stops
-            // waiting on a dead socket and runs reconnect-and-replay
-            // (the entry is already pending, so the replay resends it —
-            // or fails it over to the next replica).
-            let stream = lock_ok(&conn.stream);
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-        }
-        ForwardOutcome::Sent
+        dispatch_counter(&spec.id).inc();
+        Ok(())
     }
 
-    /// Blocks until every response slot of this session has been resolved
-    /// (answered, failed over and answered, or failed) — including
-    /// requests momentarily in failover limbo between two pending queues.
-    fn drain_pending(&self, skip: Option<u64>) {
-        self.session.slots.drain_resolved(skip);
+    /// Takes this session's connections out of its table and retires
+    /// them; returns each clean one's stream, by shard.
+    fn retire_connections(&self) -> Vec<Option<TcpStream>> {
+        let taken: Vec<Option<ShardConn>> = {
+            let mut conns = lock_ok(&self.session.conns);
+            conns.iter_mut().map(Option::take).collect()
+        };
+        taken
+            .into_iter()
+            .map(|slot| slot.and_then(ShardConn::retire))
+            .collect()
     }
 
     /// The in-band `shutdown`: reject new work router-wide, drain this
     /// session's forwards, forward the shutdown to every shard (drain
     /// semantics, once per router), then ack.
-    fn handle_shutdown(&mut self, index: u64, id: Json) {
+    fn handle_shutdown(&mut self, index: u64, id: &Json) {
         self.core().shutdown.store(true, Ordering::SeqCst);
-        self.drain_pending(Some(index));
-        let streams: Vec<Option<TcpStream>> = {
-            let mut conns = lock_ok(&self.session.conns);
-            let taken: Vec<Option<ShardConn>> =
-                conns.iter_mut().map(std::option::Option::take).collect();
-            drop(conns);
-            taken
-                .into_iter()
-                .map(|slot| slot.and_then(ShardConn::retire))
-                .collect()
-        };
+        self.session.slots.drain_resolved(Some(index));
+        let streams = self.retire_connections();
         self.core().teardown_shards(streams);
-        self.session
-            .slots
-            .set_line(index, protocol::op_response(&id, "shutdown"), false, false);
-    }
-
-    /// Ends the session: waits out in-flight forwards, retires the
-    /// connections (pooling the clean ones), and releases the writer.
-    pub(crate) fn finish(&mut self) {
-        self.drain_pending(None);
-        let taken: Vec<Option<ShardConn>> = {
-            let mut conns = lock_ok(&self.session.conns);
-            conns.iter_mut().map(std::option::Option::take).collect()
-        };
-        for (shard, slot) in taken.into_iter().enumerate() {
-            if let Some(conn) = slot {
-                if let Some(stream) = conn.retire() {
-                    if !self.core().shutdown.load(Ordering::SeqCst) {
-                        self.core().return_connection(shard, stream);
-                    }
-                }
-            }
-        }
-        self.session.slots.finish_input();
-    }
-
-    /// Sets the final `responses` count (transports that pump the writer
-    /// themselves feed the [`write_router_responses`] return value here).
-    pub(crate) fn record_responses(&mut self, written: u64) {
-        self.summary.responses = written;
+        let line = protocol::op_response(id, "shutdown");
+        self.session.slots.resolve(index, Reply::ok(line));
     }
 }
 
-impl Drop for RouterSessionDriver {
+impl Drop for RouteHandler {
     fn drop(&mut self) {
         self.session.core.sessions.fetch_sub(1, Ordering::SeqCst);
         router_metrics().sessions_live.dec();
@@ -1989,17 +1534,7 @@ struct ForwardReq<'a> {
     raw: &'a str,
     key: Option<RouterKey>,
     id: &'a Json,
-    rt: Option<ReqTrace>,
-}
-
-/// Result of one forwarding attempt.
-enum ForwardOutcome {
-    /// Enqueued and written (or poked for replay) — the request will be
-    /// answered or failed over by the reader.
-    Sent,
-    /// The shard could not accept the request at all; the message is the
-    /// would-be `shard_unavailable` diagnostic.
-    ShardLost(String),
+    rt: Option<RequestTrace>,
 }
 
 #[cfg(test)]

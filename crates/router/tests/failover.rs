@@ -315,9 +315,12 @@ fn a_lost_shard_yields_typed_shard_unavailable_errors() {
     let topology = Topology::parse(&format!("lost={addr}")).unwrap();
     let router = Router::new(topology, fast_config()).unwrap();
     let mut out = Vec::new();
-    let summary = router.run_session(PARTITION.as_bytes(), &mut out);
+    let script = format!("{PARTITION}{{\"op\":\"stats\"}}\n");
+    let summary = router.run_session(script.as_bytes(), &mut out);
     let text = String::from_utf8(out).unwrap();
     assert_eq!(summary.errors, 1);
+    // The stats line counts the same error the summary does.
+    assert!(text.contains("\"errors\":1"), "{text}");
     assert!(text.contains("\"code\":\"shard_unavailable\""), "{text}");
     assert!(
         text.contains("\"shard\":\"lost\""),

@@ -6,9 +6,7 @@
 
 use mg_collection::{CollectionScale, CollectionSpec};
 use mg_router::{LocalCluster, RouterConfig};
-use mg_server::codec::{
-    encode_frame, json_payload, partition_payload, request_json_line, KIND_JSON,
-};
+use mg_server::codec::{encode_frame, request_json_line, request_payload, split_responses};
 use mg_server::{parse_request_line, ServiceConfig};
 use mg_sparse::{gen, Coo};
 
@@ -67,40 +65,6 @@ fn canonical_requests() -> Vec<String> {
         .collect()
 }
 
-fn response_texts(out: &[u8]) -> Vec<String> {
-    let mut texts = Vec::new();
-    let mut pos = 0;
-    let mut binary = false;
-    while pos < out.len() {
-        let text = if binary {
-            let len = u32::from_le_bytes(out[pos..pos + 4].try_into().unwrap()) as usize;
-            assert_eq!(
-                out[pos + 4],
-                KIND_JSON,
-                "responses are always JSON payloads"
-            );
-            let text = std::str::from_utf8(&out[pos + 5..pos + 4 + len]).unwrap();
-            pos += 4 + len;
-            text.to_string()
-        } else {
-            let nl = out[pos..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .expect("unterminated response line");
-            let text = std::str::from_utf8(&out[pos..pos + nl])
-                .unwrap()
-                .to_string();
-            pos += nl + 1;
-            text
-        };
-        if text.contains("\"op\":\"hello\"") && text.contains("\"codec\":\"binary\"") {
-            binary = true;
-        }
-        texts.push(text);
-    }
-    texts
-}
-
 #[test]
 fn binary_clients_match_json_clients_through_the_router() {
     let requests = canonical_requests();
@@ -115,7 +79,7 @@ fn binary_clients_match_json_clients_through_the_router() {
     let mut json_out = Vec::new();
     let json_summary = router.run_session(script.as_slice(), &mut json_out);
     cluster.shutdown();
-    let json_texts = response_texts(&json_out);
+    let json_texts = split_responses(&json_out).unwrap();
 
     // Same requests as binary frames through a fresh identical cluster:
     // compact kind-0x02 payloads for partitions, JSON payloads otherwise.
@@ -123,16 +87,12 @@ fn binary_clients_match_json_clients_through_the_router() {
     let router = cluster.router(RouterConfig::default());
     let mut script = b"{\"id\":\"hs\",\"op\":\"hello\",\"codec\":\"binary\"}\n".to_vec();
     for line in &requests {
-        let payload = parse_request_line(line)
-            .ok()
-            .and_then(|request| partition_payload(&request))
-            .unwrap_or_else(|| json_payload(line));
-        script.extend_from_slice(&encode_frame(&payload));
+        script.extend_from_slice(&encode_frame(&request_payload(line)));
     }
     let mut binary_out = Vec::new();
     let binary_summary = router.run_session(script.as_slice(), &mut binary_out);
     cluster.shutdown();
-    let binary_texts = response_texts(&binary_out);
+    let binary_texts = split_responses(&binary_out).unwrap();
 
     // Hello ack first (as a JSON line), then frame-for-line parity.
     assert_eq!(

@@ -88,13 +88,14 @@ pub const KIND_PARTITION: u8 = 0x02;
 /// Payload kind: a batch of pipelined sub-payloads.
 pub const KIND_BATCH: u8 = 0x03;
 
-/// Hard cap on a declared frame length. A peer announcing more than this
-/// is treated as a framing error and the session ends — there is no way
-/// to resynchronise after refusing to buffer a frame.
+/// Hard cap on one request unit: a declared frame length, or a JSON line
+/// still without its `\n` past this many bytes. A peer exceeding it is
+/// treated as a framing error and the session ends — there is no way to
+/// resynchronise after refusing to buffer a unit.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// A fatal framing violation (oversized frame): the reader cannot
-/// resynchronise, so the session answers with one error and ends.
+/// A fatal framing violation (an oversized frame or line): the reader
+/// cannot resynchronise, so the session answers with one error and ends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameError {
     /// Human-readable detail for the error response.
@@ -122,6 +123,10 @@ pub enum UnitKind {
 pub struct UnitScanner {
     buf: Vec<u8>,
     start: usize,
+    /// Where the next `\n` search resumes: `buf[start..scanned]` holds no
+    /// newline, so every buffered byte is examined once however many
+    /// pushes a long line takes.
+    scanned: usize,
     codec: Option<WireCodec>,
 }
 
@@ -147,9 +152,11 @@ impl UnitScanner {
     pub fn push(&mut self, bytes: &[u8]) {
         if self.start == self.buf.len() {
             self.buf.clear();
+            self.scanned = 0;
             self.start = 0;
         } else if self.start >= 64 * 1024 {
             self.buf.drain(..self.start);
+            self.scanned = self.scanned.saturating_sub(self.start);
             self.start = 0;
         }
         self.buf.extend_from_slice(bytes);
@@ -159,18 +166,28 @@ impl UnitScanner {
     /// scanner's buffer (see [`UnitScanner::bytes`]) and stays valid
     /// until the next `push`. Lines exclude their `\n` terminator (a
     /// trailing `\r` is left for the caller to trim); frames exclude
-    /// their length prefix but include the kind byte.
+    /// their length prefix but include the kind byte. A line or frame
+    /// longer than [`MAX_FRAME`] is a [`FrameError`].
     pub fn next_unit(&mut self) -> Result<Option<(UnitKind, Range<usize>)>, FrameError> {
         let rest = &self.buf[self.start..];
         match self.codec() {
-            WireCodec::JsonLines => match rest.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    let range = self.start..self.start + pos;
-                    self.start += pos + 1;
-                    Ok(Some((UnitKind::Line, range)))
+            WireCodec::JsonLines => {
+                let from = self.scanned.max(self.start);
+                let end = self.buf[from..].iter().position(|&b| b == b'\n');
+                let len = end.map_or(self.buf.len(), |pos| from + pos) - self.start;
+                if len > MAX_FRAME {
+                    return Err(FrameError {
+                        message: format!("request line exceeds the {MAX_FRAME}-byte cap"),
+                    });
                 }
-                None => Ok(None),
-            },
+                let Some(pos) = end else {
+                    self.scanned = self.buf.len();
+                    return Ok(None);
+                };
+                let range = self.start..from + pos;
+                self.start = from + pos + 1;
+                Ok(Some((UnitKind::Line, range)))
+            }
             WireCodec::Binary => {
                 if rest.len() < 4 {
                     return Ok(None);
@@ -208,6 +225,7 @@ impl UnitScanner {
         }
         let tail = self.buf[self.start..].to_vec();
         self.buf.clear();
+        self.scanned = 0;
         self.start = 0;
         Some(tail)
     }
@@ -234,6 +252,52 @@ pub fn write_response_unit<W: std::io::Write>(
         }
     }
     output.flush()
+}
+
+/// Splits a session's response byte stream back into response texts —
+/// the client's side of [`write_response_unit`]: JSON lines until a
+/// `hello` ack switches the codec, kind-`0x01` frames after it. `None`
+/// when the stream is truncated or malformed.
+pub fn split_responses(mut bytes: &[u8]) -> Option<Vec<String>> {
+    let mut texts = Vec::new();
+    let mut codec = WireCodec::JsonLines;
+    while !bytes.is_empty() {
+        let (text, rest) = match codec {
+            WireCodec::JsonLines => {
+                let nl = bytes.iter().position(|&b| b == b'\n')?;
+                (&bytes[..nl], &bytes[nl + 1..])
+            }
+            WireCodec::Binary => {
+                let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
+                match bytes.get(4..4 + len)?.split_first()? {
+                    (&KIND_JSON, text) => (text, &bytes[4 + len..]),
+                    _ => return None,
+                }
+            }
+        };
+        let text = String::from_utf8(text.to_vec()).ok()?;
+        if text.contains("\"status\":\"ok\",\"op\":\"hello\"") {
+            let binary = text.contains("\"codec\":\"binary\"");
+            codec = if binary {
+                WireCodec::Binary
+            } else {
+                WireCodec::JsonLines
+            };
+        }
+        texts.push(text);
+        bytes = rest;
+    }
+    Some(texts)
+}
+
+/// The frame payload a client sends for a request line: the compact
+/// kind-`0x02` form when the line is a partition request it can carry,
+/// the line itself as a kind-`0x01` JSON payload otherwise.
+pub fn request_payload(line: &str) -> Vec<u8> {
+    crate::protocol::parse_request_line(line)
+        .ok()
+        .and_then(|request| partition_payload(&request))
+        .unwrap_or_else(|| json_payload(line))
 }
 
 /// Wraps a payload in a length-prefixed frame.
@@ -647,16 +711,12 @@ pub fn request_json_line(request: &Request) -> String {
                 fields.push(("trace", obj(tf)));
             }
         }
-        RequestOp::Ping => fields.push(("op", Json::Str("ping".into()))),
-        RequestOp::Stats => {
-            fields.push(("op", Json::Str("stats".into())));
+        op => {
+            // `shard` rides only on stats requests, `codec` on hellos.
+            fields.push(("op", Json::Str(op.name().into())));
             if let Some(shard) = &request.shard {
                 fields.push(("shard", Json::Str(shard.clone())));
             }
-        }
-        RequestOp::Shutdown => fields.push(("op", Json::Str("shutdown".into()))),
-        RequestOp::Hello => {
-            fields.push(("op", Json::Str("hello".into())));
             if let Some(codec) = request.codec {
                 fields.push(("codec", Json::Str(codec.name().into())));
             }
@@ -762,6 +822,45 @@ mod tests {
         s.push(&(MAX_FRAME as u32 + 1).to_le_bytes());
         let err = s.next_unit().unwrap_err();
         assert!(err.message.contains("cap"), "{}", err.message);
+    }
+
+    /// Framing is linear in the line length: an 8 MiB line arriving in
+    /// 16 KiB reads is scanned once, not once per read. (A rescan per
+    /// push examines ~2 GiB here and blows far past the bound.)
+    #[test]
+    fn long_lines_frame_in_linear_time() {
+        let mut line = vec![b' '; 8 << 20];
+        line.push(b'\n');
+        let start = std::time::Instant::now();
+        let mut s = UnitScanner::new();
+        let mut units = 0;
+        for chunk in line.chunks(16 * 1024) {
+            s.push(chunk);
+            while let Some((_, range)) = s.next_unit().unwrap() {
+                assert_eq!(range.len(), 8 << 20);
+                units += 1;
+            }
+        }
+        assert_eq!(units, 1);
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(3),
+            "framing an 8 MiB line took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn split_responses_follows_the_hello_switch() {
+        let mut out =
+            b"{\"id\":1,\"status\":\"ok\",\"op\":\"hello\",\"codec\":\"binary\"}\n".to_vec();
+        out.extend_from_slice(&encode_frame(&json_payload("{\"id\":2}")));
+        assert_eq!(split_responses(&out).unwrap()[1], "{\"id\":2}");
+        assert_eq!(
+            split_responses(&out[..out.len() - 1]),
+            None,
+            "truncated frame"
+        );
+        assert_eq!(split_responses(b"{\"id\":1}"), None, "unterminated line");
     }
 
     #[test]

@@ -8,14 +8,21 @@
 //! execute **out of order** on the work-stealing pool of
 //! [`mg_collection::batch`].
 //!
-//! Two transports share one protocol:
+//! Every session runs on one engine, [`session`]: a unit pump and
+//! decoder for JSON lines and binary frames, a sliding window of response
+//! slots, and an in-order writer that tallies what it writes. It serves
+//! two transports:
 //!
-//! * **pipe mode** ([`serve_pipe`] / [`serve_stdio`]) — newline-delimited
-//!   requests on any reader, responses on any writer; fully testable
-//!   without sockets, and what `mgpart serve` runs when `--listen` is
-//!   omitted;
+//! * **pipe mode** ([`Service::run_session`]) — requests on any reader,
+//!   responses on any writer; fully testable without sockets, and what
+//!   `mgpart serve` runs over stdin/stdout when `--listen` is omitted;
 //! * **TCP** ([`TcpServer`]) — a threaded `std::net` listener with one
 //!   session per connection over a shared engine and response cache.
+//!
+//! The engine has two request handlers: the local one here, which
+//! executes partitions, and the router's (`mg-router`), which forwards
+//! them to shards. A handler decides only how a decoded request is
+//! resolved and how its `stats` line renders from the writer's tally.
 //!
 //! The engine provides bounded-queue backpressure, an LRU response cache
 //! keyed by (matrix fingerprint, method, ε, seed), graceful
@@ -46,7 +53,7 @@ pub mod json;
 mod metrics;
 pub mod protocol;
 pub mod service;
-pub mod transport;
+pub mod session;
 
 pub use cache::LruCache;
 pub use codec::{UnitKind, UnitScanner, WireCodec};
@@ -55,5 +62,4 @@ pub use protocol::{
     error_response, hello_response, ok_response, op_response, parse_request_line, stats_response,
     Request, RequestError, StatsSnapshot, DEFAULT_EPSILON, DEFAULT_METHOD,
 };
-pub use service::{Service, ServiceConfig, SessionDriver, SessionSummary};
-pub use transport::{serve_pipe, serve_stdio, TcpServer};
+pub use service::{Service, ServiceConfig, SessionSummary, TcpServer};

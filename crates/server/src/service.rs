@@ -33,17 +33,18 @@
 //! pending response, then lets the dispatcher exit.
 
 use crate::cache::LruCache;
-use crate::codec::{self, UnitKind, UnitScanner, WireCodec};
+use crate::codec::{UnitKind, WireCodec};
 use crate::json::Json;
 use crate::metrics::{bytes_in, bytes_out, op_counter, request_seconds, server_metrics};
 use crate::protocol;
+use crate::session::{Handler, Host, Reply, SessionShared, Stats, Tally, TcpFront, Unit};
 use mg_collection::{generate, job_seed, run_batch_ordered, worker_count, CollectionSpec};
 use mg_core::service::{matrix_fingerprint, ErrorCode, MatrixPayload, PartitionOutcome, RequestOp};
 use mg_core::{parse_backend, Method, PartitionBackend, DEFAULT_BACKEND};
-use mg_obs::trace::{self, TraceContext};
+use mg_obs::trace::{self, RequestTrace, TraceContext};
 use mg_sparse::{load_imbalance, Coo};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -130,35 +131,6 @@ type JobSpec = (
     Option<JobTrace>,
 );
 
-/// Wall-clock anchors of one request unit, captured before decode so
-/// traced requests can report `decode` and end-to-end durations.
-#[derive(Clone, Copy)]
-struct UnitStart {
-    /// `trace::now_us()` at unit start (span timestamps).
-    sys_us: u64,
-    /// Monotonic twin of `sys_us` (span durations).
-    at: Instant,
-}
-
-impl UnitStart {
-    fn now() -> UnitStart {
-        UnitStart {
-            sys_us: trace::now_us(),
-            at: Instant::now(),
-        }
-    }
-}
-
-/// Trace identity of one request: the server-side root span context
-/// (the `request` span; `decode`/`queue_wait`/`execute`/`encode` are its
-/// children) and whether it came from the slow sampler rather than a
-/// client-stamped `trace` field.
-#[derive(Clone, Copy)]
-struct ReqTrace {
-    ctx: TraceContext,
-    speculative: bool,
-}
-
 /// Trace identity of a queued job's primary: the request's root span
 /// (`queue_wait` and `execute` record under it) plus when it queued.
 #[derive(Clone, Copy)]
@@ -207,18 +179,15 @@ struct Engine {
     config: ServiceConfig,
 }
 
-enum SubmitOutcome {
-    CacheHit,
-    Follower,
-    Queued,
-    Rejected,
-}
-
 impl Engine {
     fn lock(&self) -> std::sync::MutexGuard<'_, EngineInner> {
         self.inner.lock().expect("engine mutex poisoned")
     }
 
+    /// Submits a job: answered at once from the cache, coalesced onto an
+    /// in-flight twin, or queued (blocking while the queue is full).
+    /// Returns `false` — without ever running `deliver` — once shutdown
+    /// has begun.
     fn submit(
         &self,
         key: CacheKey,
@@ -226,21 +195,21 @@ impl Engine {
         matrix: Arc<Coo>,
         deliver: Deliver,
         trace: Option<JobTrace>,
-    ) -> SubmitOutcome {
+    ) -> bool {
         let mut inner = self.lock();
         loop {
             if inner.shutdown {
-                return SubmitOutcome::Rejected;
+                return false;
             }
             if let Some(hit) = inner.cache.get(&key) {
                 let outcome = hit.clone();
                 drop(inner);
                 deliver(outcome, true, 0.0);
-                return SubmitOutcome::CacheHit;
+                return true;
             }
             if let Some(followers) = inner.inflight.get_mut(&key) {
                 followers.push(deliver);
-                return SubmitOutcome::Follower;
+                return true;
             }
             if inner.queue.len() >= self.config.queue_capacity.max(1) {
                 inner = self.space.wait(inner).expect("engine mutex poisoned");
@@ -256,7 +225,7 @@ impl Engine {
             });
             server_metrics().queue_depth.set(inner.queue.len() as u64);
             self.work.notify_all();
-            return SubmitOutcome::Queued;
+            return true;
         }
     }
 
@@ -464,24 +433,32 @@ fn seed_of(key: &CacheKey) -> u64 {
 
 /// A running partition service: the shared engine plus its dispatcher
 /// thread. Create with [`Service::start`], attach any number of sessions
-/// ([`Service::run_session`]), and stop with
+/// ([`Service::run_session`] or a [`TcpServer`]), and stop with
 /// [`Service::initiate_shutdown`] (or the in-band `shutdown` op).
 pub struct Service {
     engine: Arc<Engine>,
     dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
-/// Per-session counters, all submission-order-deterministic.
+/// The service's threaded TCP front end: one session per connection over
+/// the shared engine and response cache. Socket-level backpressure comes
+/// for free — a full submission queue blocks the session's reader, which
+/// stops draining the socket. [`TcpFront::join`] also drains the engine.
+pub type TcpServer = TcpFront<Service>;
+
+/// Per-session counters. `received` is counted as requests decode;
+/// the rest come from the writer's [`Tally`] over the response stream —
+/// the same tally the session's `stats` lines read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionSummary {
     /// Request lines decoded (including failed ones).
     pub received: u64,
     /// Responses written.
     pub responses: u64,
-    /// Requests served from the cache or coalesced onto an in-flight
-    /// twin (`cached: true` responses).
+    /// `cached: true` responses: requests served from the cache or
+    /// coalesced onto an in-flight twin.
     pub cache_hits: u64,
-    /// Partition requests that missed the cache and queued fresh work.
+    /// Freshly computed partition responses (cache misses).
     pub cache_misses: u64,
     /// Error responses.
     pub errors: u64,
@@ -548,79 +525,21 @@ impl Service {
         }
     }
 
-    /// Opens a session driver for a custom transport. Most callers want
-    /// [`Service::run_session`] instead.
-    pub fn open_session(&self) -> SessionDriver<'_> {
-        self.engine.sessions.fetch_add(1, Ordering::SeqCst);
-        server_metrics().sessions_live.inc();
-        SessionDriver {
-            service: self,
-            shared: Arc::new(SessionShared::new(self.engine.config.shard_id.clone())),
-            summary: SessionSummary::default(),
-            next_index: 0,
-            pending_switch: None,
+    /// Runs a full session over a generic byte transport (pipe mode):
+    /// requests are read from `input` on the calling thread while a
+    /// writer thread streams responses to `output` in submission order.
+    /// A final request without its line terminator is still processed
+    /// at EOF. Returns when the input is exhausted (EOF or an in-band
+    /// `shutdown`) and every response has been written.
+    pub fn run_session<R: Read, W: Write + Send>(&self, input: R, output: W) -> SessionSummary {
+        let done = self.serve(input, output);
+        SessionSummary {
+            received: done.received,
+            responses: done.tally.responses,
+            cache_hits: done.tally.cache_hits,
+            cache_misses: done.tally.computed(),
+            errors: done.tally.errors,
         }
-    }
-
-    /// Runs a full session over a generic byte transport: reads requests
-    /// from `input` on the calling thread while a scoped writer thread
-    /// streams responses to `output` in submission order. The stream
-    /// starts as JSON lines; a `hello` can switch it to binary frames
-    /// mid-session (both directions). A final request without its line
-    /// terminator is still processed at EOF. Returns when the input is
-    /// exhausted (EOF or an in-band `shutdown`) and every response has
-    /// been written.
-    pub fn run_session<R: BufRead, W: Write + Send>(
-        &self,
-        mut input: R,
-        mut output: W,
-    ) -> SessionSummary {
-        let mut driver = self.open_session();
-        let shared = driver.shared();
-        crossbeam::scope(|scope| {
-            let out = &mut output;
-            let writer = scope.spawn(move |_| write_responses(&shared, out));
-            let mut scanner = UnitScanner::new();
-            'session: loop {
-                let consumed = match input.fill_buf() {
-                    Ok([]) => {
-                        if let Some(tail) = scanner.take_eof_remainder() {
-                            driver.handle_unit(UnitKind::Line, &tail);
-                        }
-                        break;
-                    }
-                    Ok(chunk) => {
-                        scanner.push(chunk);
-                        chunk.len()
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                };
-                input.consume(consumed);
-                loop {
-                    match scanner.next_unit() {
-                        Ok(Some((kind, range))) => {
-                            let go = driver.handle_unit(kind, scanner.bytes(&range));
-                            if let Some(codec) = driver.take_codec_switch() {
-                                scanner.set_codec(codec);
-                            }
-                            if !go {
-                                break 'session;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            driver.protocol_error(&e.message);
-                            break 'session;
-                        }
-                    }
-                }
-            }
-            driver.finish_input();
-            driver.summary.responses = writer.join().expect("session writer panicked");
-        })
-        .expect("session scope");
-        driver.summary
     }
 }
 
@@ -630,436 +549,163 @@ impl Drop for Service {
     }
 }
 
-/// One response slot: empty until its request resolves.
-///
-/// `Stats` slots are *deferred*: the snapshot counters are fixed at
-/// decode time, but the per-backend completed-job counts are only known
-/// once every preceding response has been delivered — which is exactly
-/// when the writer reaches the slot, since responses stream in submission
-/// order. Rendering there keeps the line a pure function of the request
-/// prefix at any thread count.
-enum Slot {
-    /// Request decoded, response not resolved yet.
-    Pending,
-    /// A finished response line; `computed` names the backend when the
-    /// line is a freshly computed (not cache-served) partition result, so
-    /// the writer can tally per-backend completions in stream order.
-    /// `switch` carries a `hello` codec negotiation: the writer emits
-    /// this line in the *old* codec, then switches.
-    Ready {
-        line: String,
-        computed: Option<&'static str>,
-        switch: Option<WireCodec>,
-    },
-    /// A `stats` request, rendered by the writer when it reaches it.
-    Stats {
-        id: Json,
-        snapshot: protocol::StatsSnapshot,
-    },
-}
+impl Host for Service {
+    type Handler = LocalHandler;
+    const NAME: &'static str = "server";
 
-impl Slot {
-    fn is_resolved(&self) -> bool {
-        !matches!(self, Slot::Pending)
+    fn open(&self) -> LocalHandler {
+        self.engine.sessions.fetch_add(1, Ordering::SeqCst);
+        server_metrics().sessions_live.inc();
+        LocalHandler {
+            engine: self.engine.clone(),
+            shared: SessionShared::new(),
+        }
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        self.engine.is_shutting_down()
+    }
+
+    fn initiate_shutdown(&self) {
+        self.engine.initiate_shutdown();
+    }
+
+    fn drain(&self) {
+        self.shutdown_and_join();
     }
 }
 
-/// Response slots of one session: a sliding window of pending lines.
-/// `base` is the submission index of `slots[0]`; the writer pops from the
-/// front as lines become ready, so memory stays bounded by the in-flight
-/// window rather than the session length.
-#[derive(Default)]
-struct SessionSlots {
-    base: u64,
-    slots: VecDeque<Slot>,
-    input_done: bool,
-}
-
-pub(crate) struct SessionShared {
-    state: Mutex<SessionSlots>,
-    ready: Condvar,
-    /// The server's diagnostic shard tag, echoed on stats lines.
+/// A `stats` request of a local session, rendered by the writer: the
+/// decode-time counters plus the tally of every preceding response.
+pub struct LocalStats {
+    id: Json,
+    received: u64,
+    /// Open sessions on the engine when the request was decoded (a
+    /// session always counts at least itself).
+    sessions: u64,
     shard: Option<String>,
-    /// This session's submitted-but-undelivered partition jobs. Sampled
-    /// by the writer when it renders a `stats` slot: every *preceding*
-    /// job has delivered by then (responses stream in submission order),
-    /// so the value is deterministic whenever no partition requests
-    /// trail the stats request in flight (see PROTOCOL.md).
-    outstanding: AtomicU64,
 }
 
-impl SessionShared {
-    fn new(shard: Option<String>) -> Self {
-        SessionShared {
-            state: Mutex::new(SessionSlots::default()),
-            ready: Condvar::new(),
-            shard,
-            outstanding: AtomicU64::new(0),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SessionSlots> {
-        self.state.lock().expect("session mutex poisoned")
-    }
-
-    fn push_pending(&self) {
-        self.lock().slots.push_back(Slot::Pending);
-    }
-
-    fn set_slot(&self, index: u64, slot: Slot) {
-        let mut state = self.lock();
-        let offset = (index - state.base) as usize;
-        state.slots[offset] = slot;
-        self.ready.notify_all();
-    }
-
-    fn set(&self, index: u64, line: String) {
-        self.set_slot(
-            index,
-            Slot::Ready {
-                line,
-                computed: None,
-                switch: None,
-            },
-        );
-    }
-
-    fn set_computed(&self, index: u64, line: String, computed: Option<&'static str>) {
-        self.set_slot(
-            index,
-            Slot::Ready {
-                line,
-                computed,
-                switch: None,
-            },
-        );
-    }
-
-    fn set_switch(&self, index: u64, line: String, codec: WireCodec) {
-        self.set_slot(
-            index,
-            Slot::Ready {
-                line,
-                computed: None,
-                switch: Some(codec),
-            },
-        );
-    }
-
-    fn set_stats(&self, index: u64, id: Json, snapshot: protocol::StatsSnapshot) {
-        self.set_slot(index, Slot::Stats { id, snapshot });
-    }
-
-    fn finish_input(&self) {
-        self.lock().input_done = true;
-        self.ready.notify_all();
-    }
-}
-
-/// Writer half of a session: emits ready responses in submission order,
-/// flushing after each line so clients see results as they land. Tallies
-/// freshly computed jobs per backend as the lines pass (so a deferred
-/// `stats` slot reports exactly the completions among its prefix), and
-/// returns the number of responses written.
-pub(crate) fn write_responses<W: Write>(shared: &SessionShared, output: &mut W) -> u64 {
-    let mut written = 0u64;
-    let mut wire = WireCodec::JsonLines;
-    let mut completed: Vec<(&'static str, u64)> = mg_core::all_backends()
-        .iter()
-        .map(|b| (b.name(), 0u64))
-        .collect();
-    loop {
-        let slot = {
-            let mut state = shared.lock();
-            loop {
-                if matches!(state.slots.front(), Some(slot) if slot.is_resolved()) {
-                    break;
-                }
-                if state.input_done && state.slots.front().is_none() {
-                    return written;
-                }
-                state = shared.ready.wait(state).expect("session mutex poisoned");
-            }
-            state.base += 1;
-            state.slots.pop_front().expect("checked front")
+impl Stats for LocalStats {
+    fn render(self, tally: &Tally, outstanding: u64) -> String {
+        let snapshot = protocol::StatsSnapshot {
+            received: self.received,
+            cache_hits: tally.cache_hits,
+            cache_misses: tally.computed(),
+            errors: tally.errors,
+            sessions: self.sessions,
         };
-        let (line, switch) = match slot {
-            Slot::Pending => unreachable!("writer only pops resolved slots"),
-            Slot::Ready {
-                line,
-                computed,
-                switch,
-            } => {
-                if let Some(backend) = computed {
-                    if let Some(entry) = completed.iter_mut().find(|(name, _)| *name == backend) {
-                        entry.1 += 1;
-                    }
-                }
-                (line, switch)
-            }
-            Slot::Stats { id, snapshot } => (
-                protocol::stats_response(
-                    &id,
-                    snapshot,
-                    &completed,
-                    shared.outstanding.load(Ordering::SeqCst),
-                    shared.shard.as_deref(),
-                ),
-                None,
-            ),
-        };
-        // A broken pipe means the client is gone; keep draining slots so
-        // the session still terminates cleanly.
-        if codec::write_response_unit(output, wire, &line).is_ok() {
-            written += 1;
-            bytes_out(
-                match wire {
-                    WireCodec::JsonLines => "json",
-                    WireCodec::Binary => "binary",
-                },
-                line.len() as u64 + 1,
-            );
+        protocol::stats_response(
+            &self.id,
+            snapshot,
+            &tally.completed,
+            outstanding,
+            self.shard.as_deref(),
+        )
+    }
+
+    fn counted(reply: &Reply) {
+        let metrics = server_metrics();
+        if reply.error {
+            metrics.errors.inc();
         }
-        // A hello ack travels in the old codec; everything after it in
-        // the negotiated one.
-        if let Some(next) = switch {
-            wire = next;
+        if reply.cached {
+            metrics.cache_hits.inc();
         }
+        if reply.computed.is_some() {
+            metrics.cache_misses.inc();
+        }
+    }
+
+    fn written(wire: WireCodec, bytes: usize) {
+        bytes_out(wire.name(), bytes as u64);
     }
 }
 
-/// Reader half of a session, usable from any transport: feed it request
-/// lines ([`SessionDriver::handle_line`]), run [`write_responses`] on the
-/// shared state from a writer thread, and call
-/// [`SessionDriver::finish_input`] when the input ends.
-pub struct SessionDriver<'s> {
-    service: &'s Service,
-    shared: Arc<SessionShared>,
-    summary: SessionSummary,
-    next_index: u64,
-    /// A `hello` just switched the *inbound* codec; the transport takes
-    /// this ([`SessionDriver::take_codec_switch`]) and retunes its
-    /// scanner before parsing the next unit.
-    pending_switch: Option<WireCodec>,
+/// A session on the local engine: each partition request is resolved
+/// against the response cache or executed on the batch pool.
+pub struct LocalHandler {
+    engine: Arc<Engine>,
+    shared: Arc<SessionShared<LocalStats>>,
 }
 
-impl SessionDriver<'_> {
-    pub(crate) fn shared(&self) -> Arc<SessionShared> {
-        self.shared.clone()
+impl Handler for LocalHandler {
+    type Stats = LocalStats;
+
+    fn shared(&self) -> &Arc<SessionShared<LocalStats>> {
+        &self.shared
     }
 
-    /// Allocates the next response slot in stream order.
-    fn begin(&mut self) -> u64 {
-        let index = self.next_index;
-        self.next_index += 1;
-        self.summary.received += 1;
-        server_metrics().requests.inc();
-        self.shared.push_pending();
-        index
-    }
-
-    fn fail(&mut self, index: u64, id: &Json, code: ErrorCode, message: &str) {
-        self.summary.errors += 1;
-        server_metrics().errors.inc();
-        self.shared.set(
-            index,
-            protocol::error_response(id, code, message, self.shard()),
-        );
-    }
-
-    /// Handles one scanned protocol unit: a JSON-lines request line or a
-    /// binary frame payload. Returns `false` when the session should stop
-    /// reading (an in-band `shutdown`).
-    pub fn handle_unit(&mut self, kind: UnitKind, bytes: &[u8]) -> bool {
-        let t0 = UnitStart::now();
-        match kind {
-            UnitKind::Line => {
-                bytes_in("json", bytes.len() as u64);
-                self.handle_text(bytes, t0)
-            }
-            UnitKind::Frame => {
-                bytes_in("binary", bytes.len() as u64);
-                self.handle_frame(bytes, t0)
-            }
-        }
-    }
-
-    /// After a unit that contained a `hello`: the codec the inbound
-    /// scanner must switch to before the next unit. (The *outbound*
-    /// switch rides on the response slot and is applied by the writer.)
-    pub fn take_codec_switch(&mut self) -> Option<WireCodec> {
-        self.pending_switch.take()
-    }
-
-    /// Reports a fatal framing violation (e.g. an oversized frame) as a
-    /// typed error response; the transport closes the session after this
-    /// since there is no way to resynchronise the stream.
-    pub fn protocol_error(&mut self, message: &str) {
-        let index = self.begin();
-        self.fail(index, &Json::Null, ErrorCode::BadRequest, message);
-    }
-
-    fn handle_text(&mut self, bytes: &[u8], t0: UnitStart) -> bool {
-        match std::str::from_utf8(bytes) {
-            Ok(text) => self.handle_line_at(text.trim_end_matches('\r'), t0),
-            Err(_) => {
-                // Non-UTF-8 request bytes get a typed error, never a
-                // lossily mangled parse.
-                let index = self.begin();
-                self.fail(
-                    index,
-                    &Json::Null,
-                    ErrorCode::BadRequest,
-                    "request bytes are not valid UTF-8",
-                );
-                true
-            }
-        }
-    }
-
-    fn handle_frame(&mut self, payload: &[u8], t0: UnitStart) -> bool {
-        match payload.split_first() {
-            None => {
-                let index = self.begin();
-                self.fail(index, &Json::Null, ErrorCode::BadRequest, "empty frame");
-                true
-            }
-            Some((&codec::KIND_JSON, body)) => self.handle_text(body, t0),
-            Some((&codec::KIND_PARTITION, body)) => {
-                let index = self.begin();
-                match codec::decode_partition_payload(body) {
-                    Ok(request) => self.dispatch(index, request, t0),
-                    Err(e) => {
-                        self.fail(index, &e.id, e.code, &e.message);
-                        true
-                    }
-                }
-            }
-            Some((&codec::KIND_BATCH, body)) => match codec::batch_subframes(body) {
-                Ok(subs) => {
-                    for sub in subs {
-                        if !self.handle_frame(&body[sub], t0) {
-                            return false;
-                        }
-                    }
-                    true
-                }
-                Err(message) => {
-                    let index = self.begin();
-                    self.fail(index, &Json::Null, ErrorCode::BadRequest, &message);
-                    true
-                }
-            },
-            Some((&kind, _)) => {
-                let index = self.begin();
-                self.fail(
-                    index,
-                    &Json::Null,
-                    ErrorCode::BadRequest,
-                    &format!("unknown frame kind 0x{kind:02x}"),
-                );
-                true
-            }
-        }
-    }
-
-    /// Decodes and submits one request line. Returns `false` when the
-    /// session should stop reading (an in-band `shutdown`). Blank lines
-    /// are skipped without a response.
-    pub fn handle_line(&mut self, raw: &str) -> bool {
-        self.handle_line_at(raw, UnitStart::now())
-    }
-
-    fn handle_line_at(&mut self, raw: &str, t0: UnitStart) -> bool {
-        let line = raw.trim();
-        if line.is_empty() {
-            return true;
-        }
-        let index = self.begin();
-        match protocol::parse_request_line(line) {
-            Ok(request) => self.dispatch(index, request, t0),
-            Err(e) => {
-                self.fail(index, &e.id, e.code, &e.message);
-                true
-            }
-        }
-    }
-
-    fn dispatch(&mut self, index: u64, request: protocol::Request, t0: UnitStart) -> bool {
-        match request.op {
+    fn handle(&mut self, unit: Unit, request: protocol::Request, _line: Option<&str>) -> bool {
+        let op = request.op;
+        match op {
             RequestOp::Ping => {
-                op_counter("ping").inc();
-                self.shared
-                    .set(index, protocol::op_response(&request.id, "ping"));
-                request_seconds("ping").observe(t0.at.elapsed().as_secs_f64());
-                true
+                let line = protocol::op_response(&request.id, "ping");
+                self.shared.resolve(unit.index, Reply::ok(line));
             }
-            RequestOp::Stats => {
-                op_counter("stats").inc();
-                // The snapshot counters are fixed now (in stream order);
-                // the per-backend completed counts are filled in by the
-                // writer when every preceding response has been delivered.
-                self.shared.set_stats(
-                    index,
-                    request.id,
-                    protocol::StatsSnapshot {
-                        received: self.summary.received,
-                        cache_hits: self.summary.cache_hits,
-                        cache_misses: self.summary.cache_misses,
-                        errors: self.summary.errors,
-                        sessions: self.service.engine.sessions.load(Ordering::SeqCst),
-                    },
-                );
-                request_seconds("stats").observe(t0.at.elapsed().as_secs_f64());
-                true
-            }
+            RequestOp::Stats => self.shared.defer(
+                unit.index,
+                LocalStats {
+                    id: request.id,
+                    received: unit.received,
+                    sessions: self.engine.sessions.load(Ordering::SeqCst),
+                    shard: self.engine.config.shard_id.clone(),
+                },
+            ),
             RequestOp::Shutdown => {
-                op_counter("shutdown").inc();
-                self.service.initiate_shutdown();
-                self.shared
-                    .set(index, protocol::op_response(&request.id, "shutdown"));
-                false
+                self.engine.initiate_shutdown();
+                let line = protocol::op_response(&request.id, "shutdown");
+                self.shared.resolve(unit.index, Reply::ok(line));
+                return false;
             }
-            RequestOp::Hello => {
-                op_counter("hello").inc();
-                // A bare hello (no codec field) re-affirms JSON lines.
-                let codec = request.codec.unwrap_or(WireCodec::JsonLines);
-                self.pending_switch = Some(codec);
-                self.shared
-                    .set_switch(index, protocol::hello_response(&request.id, codec), codec);
-                true
-            }
+            RequestOp::Hello => unreachable!("the session engine answers hello"),
             RequestOp::Partition => {
-                op_counter("partition").inc();
                 let spec = request.spec.expect("partition requests carry a spec");
-                self.submit_partition(index, request.id, spec, request.trace, t0);
-                true
+                // Observes its latency at delivery.
+                self.submit_partition(unit, request.id, spec, request.trace);
+                return true;
             }
         }
+        request_seconds(op.name()).observe(unit.start.at.elapsed().as_secs_f64());
+        true
     }
 
-    fn shard(&self) -> Option<&str> {
-        self.service.engine.config.shard_id.as_deref()
+    fn error_shard(&self) -> Option<&str> {
+        self.engine.config.shard_id.as_deref()
     }
 
+    fn scanned(&mut self, kind: UnitKind, bytes: usize) {
+        let codec = match kind {
+            UnitKind::Line => WireCodec::JsonLines,
+            UnitKind::Frame => WireCodec::Binary,
+        };
+        bytes_in(codec.name(), bytes as u64);
+    }
+
+    fn admitted(&mut self) {
+        server_metrics().requests.inc();
+    }
+
+    fn decoded(&mut self, op: RequestOp) {
+        op_counter(op.name()).inc();
+    }
+}
+
+impl LocalHandler {
     fn submit_partition(
         &mut self,
-        index: u64,
+        unit: Unit,
         id: Json,
         spec: mg_core::service::PartitionSpec,
         wire_trace: Option<mg_obs::WireTrace>,
-        t0: UnitStart,
     ) {
-        let engine = &self.service.engine;
+        let engine = &self.engine;
+        let t0 = unit.start;
         let matrix = match engine.resolve_matrix(&spec.matrix) {
             Ok(matrix) => matrix,
             Err((code, message)) => {
-                self.summary.errors += 1;
-                server_metrics().errors.inc();
-                self.shared.set(
-                    index,
-                    protocol::error_response(&id, code, &message, self.shard()),
-                );
+                let line = protocol::error_response(&id, code, &message, self.error_shard());
+                self.shared.resolve(unit.index, Reply::error(line));
                 request_seconds("partition").observe(t0.at.elapsed().as_secs_f64());
                 return;
             }
@@ -1085,21 +731,7 @@ impl SessionDriver<'_> {
         // `request` span covers decode through encode, and the `trace`
         // field has already been stripped from everything that shapes
         // response bytes (the key, the spec, the encoders).
-        let trace_slow = engine.config.trace_slow;
-        let req_trace: Option<ReqTrace> = match wire_trace {
-            Some(w) => Some(ReqTrace {
-                ctx: TraceContext {
-                    trace_id: w.trace_id,
-                    span_id: trace::next_span_id(),
-                    parent_id: w.parent,
-                },
-                speculative: false,
-            }),
-            None => trace_slow.map(|_| ReqTrace {
-                ctx: trace::collector().begin_speculative(),
-                speculative: true,
-            }),
-        };
+        let req_trace = RequestTrace::open(wire_trace, engine.config.trace_slow, t0.sys_us, t0.at);
         if let Some(rt) = &req_trace {
             trace::record_child(&rt.ctx, "decode", t0.sys_us, t0.at.elapsed());
         }
@@ -1110,6 +742,7 @@ impl SessionDriver<'_> {
         });
 
         let shared = self.shared.clone();
+        let index = unit.index;
         let include_partition = spec.include_partition;
         let timing = engine.config.timing;
         let deliver_id = id.clone();
@@ -1120,93 +753,45 @@ impl SessionDriver<'_> {
         let deliver: Deliver = Box::new(move |outcome, cached, secs| {
             shared.outstanding.fetch_sub(1, Ordering::SeqCst);
             let time_ms = timing.then_some(secs * 1000.0);
-            let encode_start = req_trace
-                .as_ref()
-                .map(|_| (trace::now_us(), Instant::now()));
+            let encode_start = req_trace.map(|rt| (rt, trace::now_us(), Instant::now()));
             let line =
                 protocol::ok_response(&deliver_id, &outcome, cached, include_partition, time_ms);
-            let total = t0.at.elapsed();
-            if let Some(rt) = &req_trace {
-                let (enc_us, enc_at) = encode_start.expect("captured with the trace");
-                trace::record_child(&rt.ctx, "encode", enc_us, enc_at.elapsed());
-                trace::record_span(
-                    rt.ctx.trace_id,
-                    rt.ctx.span_id,
-                    rt.ctx.parent_id,
-                    "request",
-                    t0.sys_us,
-                    total,
-                );
-                if rt.speculative {
-                    if trace_slow.is_some_and(|threshold| total >= threshold) {
-                        trace::collector().commit(rt.ctx.trace_id);
-                    } else {
-                        trace::collector().discard(rt.ctx.trace_id);
-                    }
-                }
+            if let Some((rt, start_us, start)) = encode_start {
+                trace::record_child(&rt.ctx, "encode", start_us, start.elapsed());
+                rt.close();
             }
-            request_seconds("partition").observe(total.as_secs_f64());
-            // Tag freshly computed lines with their backend so the writer
+            request_seconds("partition").observe(t0.at.elapsed().as_secs_f64());
+            // Freshly computed lines carry their backend so the writer
             // can tally per-backend completions for deferred stats slots.
-            shared.set_computed(index, line, (!cached).then_some(outcome.backend));
+            let reply = Reply {
+                line,
+                cached,
+                computed: (!cached).then_some(outcome.backend),
+                ..Reply::default()
+            };
+            shared.resolve(index, reply);
         });
 
-        match engine.submit(key, backend, matrix, deliver, job_trace) {
-            SubmitOutcome::CacheHit | SubmitOutcome::Follower => {
-                self.summary.cache_hits += 1;
-                server_metrics().cache_hits.inc();
+        if !engine.submit(key, backend, matrix, deliver, job_trace) {
+            // The deliver callback never runs for rejected jobs.
+            if let Some(rt) = &req_trace {
+                rt.abandon();
             }
-            SubmitOutcome::Queued => {
-                self.summary.cache_misses += 1;
-                server_metrics().cache_misses.inc();
-            }
-            SubmitOutcome::Rejected => {
-                // The deliver callback never runs for rejected jobs.
-                if let Some(rt) = &req_trace {
-                    if rt.speculative {
-                        trace::collector().discard(rt.ctx.trace_id);
-                    }
-                }
-                self.shared.outstanding.fetch_sub(1, Ordering::SeqCst);
-                self.summary.errors += 1;
-                server_metrics().errors.inc();
-                self.shared.set(
-                    index,
-                    protocol::error_response(
-                        &id,
-                        ErrorCode::ShuttingDown,
-                        "server is draining; request rejected",
-                        self.shard(),
-                    ),
-                );
-            }
+            self.shared.outstanding.fetch_sub(1, Ordering::SeqCst);
+            let line = protocol::error_response(
+                &id,
+                ErrorCode::ShuttingDown,
+                "server is draining; request rejected",
+                self.error_shard(),
+            );
+            self.shared.resolve(index, Reply::error(line));
         }
     }
-
-    /// Marks the input stream as finished so the writer can terminate
-    /// once every pending response has been emitted.
-    pub fn finish_input(&self) {
-        self.shared.finish_input();
-    }
-
-    /// The session's counters so far (the `responses` field is only
-    /// final after the writer finishes).
-    pub fn summary(&self) -> SessionSummary {
-        self.summary
-    }
 }
 
-impl SessionDriver<'_> {
-    /// Sets the final `responses` count (transports that pump the writer
-    /// themselves feed the [`write_responses`] return value back here).
-    pub(crate) fn record_responses(&mut self, written: u64) {
-        self.summary.responses = written;
-    }
-}
-
-impl Drop for SessionDriver<'_> {
+impl Drop for LocalHandler {
     fn drop(&mut self) {
-        self.service.engine.sessions.fetch_sub(1, Ordering::SeqCst);
+        self.engine.sessions.fetch_sub(1, Ordering::SeqCst);
         server_metrics().sessions_live.dec();
     }
 }

@@ -4,9 +4,11 @@
 
 use mg_collection::{CollectionScale, CollectionSpec};
 use mg_server::codec::{
-    batch_payload, encode_frame, json_payload, partition_payload, KIND_JSON, MAX_FRAME,
+    batch_payload, encode_frame, json_payload, partition_payload, request_payload, split_responses,
+    MAX_FRAME,
 };
 use mg_server::{parse_request_line, Service, ServiceConfig};
+use std::io::Read;
 use std::sync::Arc;
 
 fn smoke_service(threads: usize) -> Arc<Service> {
@@ -28,49 +30,9 @@ const HELLO_BINARY: &str = "{\"id\":\"hs\",\"op\":\"hello\",\"codec\":\"binary\"
 fn binary_script(requests: &[&str]) -> Vec<u8> {
     let mut script = format!("{HELLO_BINARY}\n").into_bytes();
     for line in requests {
-        let payload = parse_request_line(line)
-            .ok()
-            .and_then(|request| partition_payload(&request))
-            .unwrap_or_else(|| json_payload(line));
-        script.extend_from_slice(&encode_frame(&payload));
+        script.extend_from_slice(&encode_frame(&request_payload(line)));
     }
     script
-}
-
-/// Splits a response byte stream back into response texts, tracking the
-/// codec switch: JSON lines until a binary hello ack, frames after.
-fn response_texts(out: &[u8]) -> Vec<String> {
-    let mut texts = Vec::new();
-    let mut pos = 0;
-    let mut binary = false;
-    while pos < out.len() {
-        let text = if binary {
-            let len = u32::from_le_bytes(out[pos..pos + 4].try_into().unwrap()) as usize;
-            assert_eq!(
-                out[pos + 4],
-                KIND_JSON,
-                "responses are always JSON payloads"
-            );
-            let text = std::str::from_utf8(&out[pos + 5..pos + 4 + len]).unwrap();
-            pos += 4 + len;
-            text.to_string()
-        } else {
-            let nl = out[pos..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .expect("unterminated response line");
-            let text = std::str::from_utf8(&out[pos..pos + nl])
-                .unwrap()
-                .to_string();
-            pos += nl + 1;
-            text
-        };
-        if text.contains("\"op\":\"hello\"") && text.contains("\"codec\":\"binary\"") {
-            binary = true;
-        }
-        texts.push(text);
-    }
-    texts
 }
 
 const INLINE: &str = "{\"id\":1,\"matrix\":{\"rows\":4,\"cols\":4,\
@@ -93,7 +55,7 @@ fn hello_negotiates_binary_and_acks_in_the_old_codec() {
         "{\"id\":\"hs\",\"status\":\"ok\",\"op\":\"hello\",\"codec\":\"binary\"}"
     );
     // Everything after is frames.
-    let texts = response_texts(&out);
+    let texts = split_responses(&out).unwrap();
     assert_eq!(texts.len(), 3);
     assert!(texts[1].contains("\"id\":2") && texts[1].contains("\"op\":\"ping\""));
     assert!(texts[2].contains("\"id\":1") && texts[2].contains("\"volume\""));
@@ -123,13 +85,13 @@ fn binary_responses_are_byte_identical_to_json_lines_at_any_thread_count() {
             .collect();
         let mut json_out = Vec::new();
         let json_summary = service.run_session(json_script.as_slice(), &mut json_out);
-        let json_texts = response_texts(&json_out);
+        let json_texts = split_responses(&json_out).unwrap();
 
         let service = smoke_service(threads);
         let mut binary_out = Vec::new();
         let binary_summary =
             service.run_session(binary_script(&requests).as_slice(), &mut binary_out);
-        let binary_texts = response_texts(&binary_out);
+        let binary_texts = split_responses(&binary_out).unwrap();
 
         assert_eq!(json_summary.responses + 1, binary_summary.responses);
         assert_eq!(json_summary.cache_hits, binary_summary.cache_hits);
@@ -161,7 +123,7 @@ fn batched_frames_answer_in_submission_order() {
     let summary = service.run_session(script.as_slice(), &mut out);
     assert_eq!(summary.received, 4, "a batch counts per sub-request");
     assert_eq!(summary.responses, 4);
-    let texts = response_texts(&out);
+    let texts = split_responses(&out).unwrap();
     assert!(texts[1].contains("\"id\":10"));
     assert!(texts[2].contains("\"id\":1") && texts[2].contains("\"volume\""));
     assert!(texts[3].contains("\"id\":30") && texts[3].contains("\"op\":\"stats\""));
@@ -178,13 +140,29 @@ fn framing_violations_get_typed_errors() {
     let mut out = Vec::new();
     let summary = service.run_session(script.as_slice(), &mut out);
     assert_eq!(summary.responses, 2);
-    let texts = response_texts(&out);
+    let texts = split_responses(&out).unwrap();
     assert!(
         texts[1].contains("\"status\":\"error\"")
             && texts[1].contains("bad_request")
             && texts[1].contains("cap"),
         "{}",
         texts[1]
+    );
+
+    // So does a JSON line that runs past the same cap without its `\n`.
+    let service = smoke_service(1);
+    let ping = &b"{\"id\":1,\"op\":\"ping\"}\n"[..];
+    let endless = std::io::repeat(b'x').take(MAX_FRAME as u64 + 1);
+    let mut out = Vec::new();
+    let summary = service.run_session(ping.chain(endless), &mut out);
+    assert_eq!(summary.responses, 2);
+    let text = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(lines[0].contains("\"id\":1"), "{}", lines[0]);
+    assert!(
+        lines[1].contains("bad_request") && lines[1].contains("cap"),
+        "{}",
+        lines[1]
     );
 
     // An unknown payload kind is an in-band error; the session goes on.
@@ -195,7 +173,7 @@ fn framing_violations_get_typed_errors() {
     let mut out = Vec::new();
     let summary = service.run_session(script.as_slice(), &mut out);
     assert_eq!(summary.responses, 3);
-    let texts = response_texts(&out);
+    let texts = split_responses(&out).unwrap();
     assert!(texts[1].contains("unknown frame kind 0x07"), "{}", texts[1]);
     assert!(texts[2].contains("\"id\":9"), "{}", texts[2]);
 
@@ -206,7 +184,7 @@ fn framing_violations_get_typed_errors() {
     script.extend_from_slice(&encode_frame(&full[..full.len() - 3]));
     let mut out = Vec::new();
     service.run_session(script.as_slice(), &mut out);
-    let texts = response_texts(&out);
+    let texts = split_responses(&out).unwrap();
     assert!(
         texts[1].contains("bad_request") || texts[1].contains("bad_matrix"),
         "{}",

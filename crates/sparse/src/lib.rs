@@ -39,8 +39,8 @@ pub use bsp::{bsp_cost, BspCost, VectorDistribution};
 pub use coo::Coo;
 pub use csr::{Csc, Csr};
 pub use partition::{
-    col_lambdas, communication_volume, load_imbalance, max_part_size, part_budget, row_lambdas,
-    NonzeroPartition, PartitionError,
+    col_lambdas, communication_volume, communication_volume_reference, load_imbalance,
+    max_part_size, part_budget, row_lambdas, NonzeroPartition, PartitionError,
 };
 pub use spy::{spy, spy_partitioned, CommunicationReport};
 pub use stats::{MatrixClass, PatternStats};

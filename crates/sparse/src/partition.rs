@@ -248,35 +248,25 @@ pub fn communication_volume(a: &Coo, partition: &NonzeroPartition) -> u64 {
     row_v + col_v
 }
 
-/// Brute-force volume computation via per-row/column part sets; `O(N·p)`
-/// worst case. Exists purely as an independent oracle for tests.
+/// Reference volume computation via the distinct (line, part) pairs of
+/// every row and column: each nonempty line contributes its number of
+/// distinct parts minus one. `O(nnz log nnz)`, and independent of the
+/// λ-counting kernels — it exists as an oracle for tests and for
+/// `sweep --verify`.
 pub fn communication_volume_reference(a: &Coo, partition: &NonzeroPartition) -> u64 {
-    let mut volume = 0u64;
-    for i in 0..a.rows() {
-        let mut parts: Vec<Idx> = a
-            .entries()
+    let line_cuts = |line: &dyn Fn(Idx, Idx) -> Idx| {
+        let mut pairs: Vec<(Idx, Idx)> = a
             .iter()
             .enumerate()
-            .filter(|(_, &(r, _))| r == i)
-            .map(|(k, _)| partition.part_of(k))
+            .map(|(k, (i, j))| (line(i, j), partition.part_of(k)))
             .collect();
-        parts.sort_unstable();
-        parts.dedup();
-        volume += (parts.len() as u64).saturating_sub(1);
-    }
-    for j in 0..a.cols() {
-        let mut parts: Vec<Idx> = a
-            .entries()
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, c))| c == j)
-            .map(|(k, _)| partition.part_of(k))
-            .collect();
-        parts.sort_unstable();
-        parts.dedup();
-        volume += (parts.len() as u64).saturating_sub(1);
-    }
-    volume
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut lines: Vec<Idx> = pairs.iter().map(|&(l, _)| l).collect();
+        lines.dedup();
+        (pairs.len() - lines.len()) as u64
+    };
+    line_cuts(&|i, _| i) + line_cuts(&|_, j| j)
 }
 
 #[cfg(test)]
