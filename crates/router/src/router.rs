@@ -6,9 +6,12 @@
 //!
 //! A session (one per stdio pipe or TCP connection) decodes request
 //! lines, answers what it can locally (parse errors, `ping`, `stats`,
-//! router-cache hits), and forwards the rest — the *original raw line*,
-//! so shards decode exactly what the client sent — to the shard that
-//! [`crate::placement`] picks for the request's placement key. Each
+//! router-cache hits), and forwards the rest to the shard that
+//! [`crate::placement`] picks for the request's placement key. A request
+//! that arrived as JSON is forwarded as its *original raw line*, so
+//! shards decode exactly what the client sent; a binary partition
+//! payload is rendered into its canonical JSON line only then, when it
+//! is forwarded, never for a request the router answers itself. Each
 //! session holds at most one connection per shard; responses come back in
 //! FIFO order per connection and are re-sequenced into client submission
 //! order by the session engine of [`mg_server::session`] — the same one a
@@ -1162,25 +1165,18 @@ impl Handler for RouteHandler {
     }
 
     fn handle(&mut self, unit: Unit, request: Request, line: Option<&str>) -> bool {
-        // Text requests forward as the original line; a binary partition
-        // payload forwards to the (JSON-lines) shards as its canonical
-        // re-rendered line.
-        let raw = line.map_or_else(|| Cow::Owned(codec::request_json_line(&request)), Cow::from);
         match request.op {
             RequestOp::Ping => {
                 let line = protocol::op_response(&request.id, "ping");
                 self.session.slots.resolve(unit.index, Reply::ok(line));
             }
-            RequestOp::Stats => self.handle_stats(unit, &raw, request.id, request.shard),
+            RequestOp::Stats => self.handle_stats(unit, request, line),
             RequestOp::Shutdown => {
                 self.handle_shutdown(unit.index, &request.id);
                 return false;
             }
             RequestOp::Hello => unreachable!("the session engine answers hello"),
-            RequestOp::Partition => {
-                let spec = request.spec.expect("partition requests carry a spec");
-                self.route_partition(unit.index, &raw, request.id, spec, request.trace);
-            }
+            RequestOp::Partition => self.route_partition(unit.index, &request, line),
         }
         true
     }
@@ -1223,13 +1219,13 @@ impl RouteHandler {
 
     /// `stats` without a `shard` field is answered by the router itself
     /// (topology-independent, deferred to the writer); with one — decoded
-    /// and validated by the protocol codec — the raw line is forwarded to
+    /// and validated by the protocol codec — the request is forwarded to
     /// the named shard, whose response carries its own counters and
     /// `shard` tag.
-    fn handle_stats(&mut self, unit: Unit, raw: &str, id: Json, shard: Option<String>) {
-        let Some(name) = shard else {
+    fn handle_stats(&mut self, unit: Unit, request: Request, line: Option<&str>) {
+        let Some(name) = &request.shard else {
             let stats = RouterStats {
-                id,
+                id: request.id,
                 received: unit.received,
                 sessions: self.core().sessions.load(Ordering::SeqCst),
                 core: (self.core().config.replicas > 1).then(|| self.core().clone()),
@@ -1237,13 +1233,13 @@ impl RouteHandler {
             self.session.slots.defer(unit.index, stats);
             return;
         };
-        match self.core().topology.index_of(&name) {
+        match self.core().topology.index_of(name) {
             Some(shard) => self.forward(
                 &ForwardReq {
                     index: unit.index,
-                    raw,
+                    raw: &forward_line(&request, line),
                     key: None,
-                    id: &id,
+                    id: &request.id,
                     rt: None,
                 },
                 vec![shard],
@@ -1259,25 +1255,32 @@ impl RouteHandler {
                         .collect::<Vec<_>>()
                         .join(", ")
                 );
-                self.local_error(unit.index, &id, ErrorCode::UnknownShard, &message, None);
+                self.local_error(
+                    unit.index,
+                    &request.id,
+                    ErrorCode::UnknownShard,
+                    &message,
+                    None,
+                );
             }
         }
     }
 
-    fn route_partition(
-        &mut self,
-        index: u64,
-        raw: &str,
-        id: Json,
-        spec: mg_core::service::PartitionSpec,
-        wire: Option<mg_obs::WireTrace>,
-    ) {
+    /// Routes a partition request: answers it from the router cache when
+    /// it can, forwards it to its replica set otherwise. `line` is the
+    /// request's text when it arrived as JSON.
+    fn route_partition(&mut self, index: u64, request: &Request, line: Option<&str>) {
+        let id = &request.id;
+        let spec = request
+            .spec
+            .as_ref()
+            .expect("partition requests carry a spec");
         let started = Instant::now();
         // The router's root `request` span, parented under the client's
         // context when the request arrived traced, or a speculative
         // sampler trace when `trace_slow` is set.
         let rt = RequestTrace::open(
-            wire,
+            request.trace,
             self.core().config.trace_slow,
             trace::now_us(),
             started,
@@ -1293,7 +1296,7 @@ impl RouteHandler {
         let placement = match rejected {
             Ok(placement) => placement,
             Err((code, message)) => {
-                self.local_error(index, &id, code, &message, None);
+                self.local_error(index, id, code, &message, None);
                 if let Some(rt) = &rt {
                     rt.close();
                 }
@@ -1330,7 +1333,7 @@ impl RouteHandler {
         if let Some((_, rs)) = &route_span {
             trace::record_child(rs, "cache_lookup", lookup_us, lookup_at.elapsed());
         }
-        if let Some(line) = stored.and_then(|stored| with_id(&stored, &id)) {
+        if let Some(line) = stored.and_then(|stored| with_id(&stored, id)) {
             router_metrics().cache_hits.inc();
             let reply = Reply {
                 cached: true,
@@ -1366,9 +1369,9 @@ impl RouteHandler {
         self.forward(
             &ForwardReq {
                 index,
-                raw,
+                raw: &forward_line(request, line),
                 key: Some(key),
-                id: &id,
+                id,
                 rt,
             },
             ranked,
@@ -1524,6 +1527,13 @@ impl Drop for RouteHandler {
         self.session.core.sessions.fetch_sub(1, Ordering::SeqCst);
         router_metrics().sessions_live.dec();
     }
+}
+
+/// The line a shard receives for a request: the client's own text when the
+/// request arrived as JSON, or, for a binary payload, its canonical JSON
+/// rendering, made only now that the request is forwarded.
+fn forward_line<'a>(request: &Request, line: Option<&'a str>) -> Cow<'a, str> {
+    line.map_or_else(|| Cow::Owned(codec::request_json_line(request)), Cow::from)
 }
 
 /// One client request on its way to a shard: the session index, the

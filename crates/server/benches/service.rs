@@ -1,10 +1,15 @@
 //! Criterion benchmarks for the serving layer: end-to-end pipe-mode
 //! sessions (parse → schedule → execute → stream), cache-hit turnaround,
-//! and the protocol codec on its own. These isolate the service overhead
-//! from the partitioning kernels the `bipartition` bench already covers.
+//! and the protocol codec on its own, from a small request up to a 35k
+//! nonzero inline matrix. These isolate the service overhead from the
+//! partitioning kernels the `bipartition` bench already covers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mg_server::codec::{decode_partition_payload, request_json_line, request_payload};
 use mg_server::{parse_request_line, Service, ServiceConfig};
+use mg_sparse::gen;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A small but non-trivial request script: distinct Laplacian-band
 /// matrices as inline COO, mixed methods.
@@ -85,10 +90,37 @@ fn bench_protocol_codec(c: &mut Criterion) {
     });
 }
 
+/// One inline request of about 35k nonzeros (some 440 KB of JSON), the
+/// upper middle of the sizes a router forwards: its JSON decode, and the
+/// JSON line a router renders when it forwards the binary form.
+fn bench_large_inline(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(35);
+    let a = gen::scale_free_directed(35_000 / 6, 35_000, 0.8, 1.0, &mut rng);
+    let entries: Vec<String> = a.iter().map(|(i, j)| format!("[{i},{j}]")).collect();
+    let line = format!(
+        "{{\"id\":1,\"matrix\":{{\"rows\":{},\"cols\":{},\"entries\":[{}]}},\"seed\":7}}",
+        a.rows(),
+        a.cols(),
+        entries.join(",")
+    );
+    let payload = request_payload(&line);
+    let binary = decode_partition_payload(&payload[1..]).unwrap();
+    let mut group = c.benchmark_group("inline_35k");
+    group.sample_size(20);
+    group.bench_function("json_decode", |b| {
+        b.iter(|| parse_request_line(&line).unwrap())
+    });
+    group.bench_function("binary_to_json_line", |b| {
+        b.iter(|| request_json_line(&binary))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_pipe_sessions,
     bench_cache_hits,
-    bench_protocol_codec
+    bench_protocol_codec,
+    bench_large_inline
 );
 criterion_main!(benches);

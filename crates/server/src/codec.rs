@@ -44,8 +44,13 @@
 //! high bit = continuation, at most 10 bytes). Inline coordinates are
 //! parsed straight out of the request byte slice into the entry vector —
 //! no intermediate JSON tree, string, or per-entry allocation.
+//!
+//! Shards speak JSON lines only, so a router renders a binary request
+//! into its canonical JSON line ([`request_json_line`]) when it forwards
+//! it, and only then: a request the router answers from its own cache is
+//! never rendered.
 
-use crate::json::{obj, Json};
+use crate::json::{write_escaped, write_f64, write_u64, Json};
 use crate::protocol::{Request, RequestError};
 use mg_core::service::{ErrorCode, MatrixPayload, PartitionSpec, RequestOp};
 use mg_core::Method;
@@ -652,82 +657,120 @@ pub fn decode_partition_payload(body: &[u8]) -> Result<Request, RequestError> {
 
 /// Renders a decoded request back to its canonical JSON-lines text (no
 /// trailing newline). This is how a router forwards a *binary* request to
-/// its JSON-lines shards: the re-rendered line is semantically identical
-/// to the original unit, and for requests that were born as JSON the
-/// original text is forwarded instead, so golden streams never change.
+/// its JSON-lines shards, and it does so only for a request it forwards:
+/// one its own cache cannot answer. The re-rendered line is semantically
+/// identical to the original unit; requests that were born as JSON are
+/// forwarded as their original text instead, so golden streams never
+/// change.
+///
+/// The line is written straight into one `String`, inline coordinates
+/// included, in the bytes [`Json::write`] would produce for the same
+/// fields: no `Json` tree is built for it.
 pub fn request_json_line(request: &Request) -> String {
-    let mut fields = vec![("id", request.id.clone())];
+    let nnz = match &request.spec {
+        Some(PartitionSpec {
+            matrix: MatrixPayload::Inline { entries, .. },
+            ..
+        }) => entries.len(),
+        _ => 0,
+    };
+    // `[row,col],` with up to five-digit coordinates, plus the fields.
+    let mut out = String::with_capacity(160 + 14 * nnz);
+    out.push_str("{\"id\":");
+    request.id.write(&mut out);
     match request.op {
         RequestOp::Partition => {
             let spec = request
                 .spec
                 .as_ref()
                 .expect("partition requests carry a spec");
-            let matrix = match &spec.matrix {
+            out.push_str(",\"matrix\":");
+            match &spec.matrix {
                 MatrixPayload::Inline {
                     rows,
                     cols,
                     entries,
-                } => obj(vec![
-                    ("rows", Json::UInt(u64::from(*rows))),
-                    ("cols", Json::UInt(u64::from(*cols))),
-                    (
-                        "entries",
-                        Json::Arr(
-                            entries
-                                .iter()
-                                .map(|&(i, j)| {
-                                    Json::Arr(vec![
-                                        Json::UInt(u64::from(i)),
-                                        Json::UInt(u64::from(j)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-                MatrixPayload::Collection(name) => {
-                    obj(vec![("collection", Json::Str(name.clone()))])
+                } => {
+                    out.push_str("{\"rows\":");
+                    write_u64(u64::from(*rows), &mut out);
+                    out.push_str(",\"cols\":");
+                    write_u64(u64::from(*cols), &mut out);
+                    out.push_str(",\"entries\":[");
+                    for (k, &(i, j)) in entries.iter().enumerate() {
+                        out.push_str(if k == 0 { "[" } else { ",[" });
+                        write_u64(u64::from(i), &mut out);
+                        out.push(',');
+                        write_u64(u64::from(j), &mut out);
+                        out.push(']');
+                    }
+                    out.push_str("]}");
                 }
-                MatrixPayload::MatrixMarket(text) => obj(vec![("mtx", Json::Str(text.clone()))]),
-            };
-            fields.push(("matrix", matrix));
-            fields.push(("method", Json::Str(spec.method.name().into())));
-            if let Some(backend) = spec.backend {
-                fields.push(("backend", Json::Str(backend.into())));
+                MatrixPayload::Collection(name) => {
+                    out.push('{');
+                    write_field(&mut out, "collection", name);
+                    out.push('}');
+                }
+                MatrixPayload::MatrixMarket(text) => {
+                    out.push('{');
+                    write_field(&mut out, "mtx", text);
+                    out.push('}');
+                }
             }
-            fields.push(("epsilon", Json::Num(spec.epsilon)));
+            out.push(',');
+            write_field(&mut out, "method", spec.method.name());
+            if let Some(backend) = spec.backend {
+                out.push(',');
+                write_field(&mut out, "backend", backend);
+            }
+            out.push_str(",\"epsilon\":");
+            write_f64(spec.epsilon, &mut out);
             if let Some(seed) = spec.seed {
-                fields.push(("seed", Json::UInt(seed)));
+                out.push_str(",\"seed\":");
+                write_u64(seed, &mut out);
             }
             if spec.include_partition {
-                fields.push(("include_partition", Json::Bool(true)));
+                out.push_str(",\"include_partition\":true");
             }
             if let Some(trace) = request.trace {
-                let mut tf = vec![("id", Json::Str(mg_obs::trace::trace_id_hex(trace.trace_id)))];
+                out.push_str(",\"trace\":{");
+                write_field(&mut out, "id", &mg_obs::trace::trace_id_hex(trace.trace_id));
                 if let Some(parent) = trace.parent {
-                    tf.push(("parent", Json::Str(mg_obs::trace::span_id_hex(parent))));
+                    out.push(',');
+                    write_field(&mut out, "parent", &mg_obs::trace::span_id_hex(parent));
                 }
-                fields.push(("trace", obj(tf)));
+                out.push('}');
             }
         }
         op => {
             // `shard` rides only on stats requests, `codec` on hellos.
-            fields.push(("op", Json::Str(op.name().into())));
+            out.push(',');
+            write_field(&mut out, "op", op.name());
             if let Some(shard) = &request.shard {
-                fields.push(("shard", Json::Str(shard.clone())));
+                out.push(',');
+                write_field(&mut out, "shard", shard);
             }
             if let Some(codec) = request.codec {
-                fields.push(("codec", Json::Str(codec.name().into())));
+                out.push(',');
+                write_field(&mut out, "codec", codec.name());
             }
         }
     }
-    obj(fields).to_string()
+    out.push('}');
+    out
+}
+
+/// Writes `"key":"value"`, the value escaped; keys are plain ASCII.
+fn write_field(out: &mut String, key: &str, value: &str) {
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+    write_escaped(value, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::obj;
     use crate::protocol::parse_request_line;
 
     #[test]
@@ -948,6 +991,163 @@ mod tests {
         let mut bad = vec![9, 0, 0, 0];
         bad.push(KIND_JSON);
         assert!(batch_subframes(&bad).is_err());
+    }
+
+    /// The tree rendering the direct writer replaced, kept as its oracle.
+    fn request_json_tree(request: &Request) -> String {
+        let mut fields = vec![("id", request.id.clone())];
+        match request.op {
+            RequestOp::Partition => {
+                let spec = request
+                    .spec
+                    .as_ref()
+                    .expect("partition requests carry a spec");
+                let matrix = match &spec.matrix {
+                    MatrixPayload::Inline {
+                        rows,
+                        cols,
+                        entries,
+                    } => obj(vec![
+                        ("rows", Json::UInt(u64::from(*rows))),
+                        ("cols", Json::UInt(u64::from(*cols))),
+                        (
+                            "entries",
+                            Json::Arr(
+                                entries
+                                    .iter()
+                                    .map(|&(i, j)| {
+                                        Json::Arr(vec![
+                                            Json::UInt(u64::from(i)),
+                                            Json::UInt(u64::from(j)),
+                                        ])
+                                    })
+                                    .collect(),
+                            ),
+                        ),
+                    ]),
+                    MatrixPayload::Collection(name) => {
+                        obj(vec![("collection", Json::Str(name.clone()))])
+                    }
+                    MatrixPayload::MatrixMarket(text) => {
+                        obj(vec![("mtx", Json::Str(text.clone()))])
+                    }
+                };
+                fields.push(("matrix", matrix));
+                fields.push(("method", Json::Str(spec.method.name().into())));
+                if let Some(backend) = spec.backend {
+                    fields.push(("backend", Json::Str(backend.into())));
+                }
+                fields.push(("epsilon", Json::Num(spec.epsilon)));
+                if let Some(seed) = spec.seed {
+                    fields.push(("seed", Json::UInt(seed)));
+                }
+                if spec.include_partition {
+                    fields.push(("include_partition", Json::Bool(true)));
+                }
+                if let Some(trace) = request.trace {
+                    let mut tf =
+                        vec![("id", Json::Str(mg_obs::trace::trace_id_hex(trace.trace_id)))];
+                    if let Some(parent) = trace.parent {
+                        tf.push(("parent", Json::Str(mg_obs::trace::span_id_hex(parent))));
+                    }
+                    fields.push(("trace", obj(tf)));
+                }
+            }
+            op => {
+                // `shard` rides only on stats requests, `codec` on hellos.
+                fields.push(("op", Json::Str(op.name().into())));
+                if let Some(shard) = &request.shard {
+                    fields.push(("shard", Json::Str(shard.clone())));
+                }
+                if let Some(codec) = request.codec {
+                    fields.push(("codec", Json::Str(codec.name().into())));
+                }
+            }
+        }
+        obj(fields).to_string()
+    }
+
+    #[test]
+    fn request_json_line_writes_the_bytes_of_the_tree_rendering() {
+        let spec = |matrix, backend, seed, include_partition| PartitionSpec {
+            matrix,
+            method: Method::parse_name("lb").unwrap(),
+            backend,
+            epsilon: 0.125,
+            seed,
+            include_partition,
+        };
+        let inline = |entries: Vec<(Idx, Idx)>| MatrixPayload::Inline {
+            rows: 4294967294,
+            cols: 3,
+            entries,
+        };
+        let partition = |id: Json, spec: PartitionSpec, trace| Request {
+            id,
+            op: RequestOp::Partition,
+            spec: Some(spec),
+            shard: None,
+            codec: None,
+            trace,
+        };
+        let trace = mg_obs::WireTrace {
+            trace_id: 0x0011_2233_4455_6677_8899_aabb_ccdd_eeff,
+            parent: Some(0xfedc_ba98_7654_3210),
+        };
+        let entries = vec![(0, 0), (4294967293, 2), (17, 1)];
+        let mut requests = vec![
+            partition(
+                Json::Str("quote\" slash\\ nl\n tab\t ctl\u{1} é".into()),
+                spec(inline(entries.clone()), None, None, false),
+                None,
+            ),
+            partition(
+                Json::UInt(u64::MAX),
+                spec(inline(vec![]), Some("geometric"), Some(u64::MAX), true),
+                Some(trace),
+            ),
+            partition(
+                Json::Null,
+                spec(inline(entries), Some("patoh"), Some(0), false),
+                Some(mg_obs::WireTrace {
+                    parent: None,
+                    ..trace
+                }),
+            ),
+            partition(
+                Json::Int(-7),
+                spec(
+                    MatrixPayload::Collection("name \"q\"".into()),
+                    None,
+                    None,
+                    true,
+                ),
+                None,
+            ),
+            partition(
+                Json::parse(r#"{"k":[1.5,null,true]}"#).unwrap(),
+                spec(
+                    MatrixPayload::MatrixMarket("%%MatrixMarket\n1 1 0\n".into()),
+                    None,
+                    Some(3),
+                    false,
+                ),
+                None,
+            ),
+        ];
+        for line in [
+            r#"{"id":1,"op":"ping"}"#,
+            r#"{"id":"s","op":"stats","shard":"s\"1"}"#,
+            r#"{"op":"hello","codec":"binary"}"#,
+            r#"{"op":"shutdown"}"#,
+        ] {
+            requests.push(parse_request_line(line).unwrap());
+        }
+        for request in &requests {
+            let line = request_json_line(request);
+            assert_eq!(line, request_json_tree(request));
+            assert_eq!(&parse_request_line(&line).unwrap(), request, "{line}");
+        }
     }
 
     #[test]

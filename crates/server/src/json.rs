@@ -13,7 +13,7 @@
 //! trip), negative ones to [`Json::Int`], and everything else to
 //! [`Json::Num`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +56,13 @@ impl std::error::Error for JsonError {}
 
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// The parser, also driven piecewise from inside the crate: a caller that
+/// wants one member decoded without building a [`Json`] for it walks the
+/// document with [`Parser::open`], [`Parser::key`] and [`Parser::more`] and
+/// hands every other value to [`Parser::value`]. Both ways go through the
+/// same primitives, so a document fails at the same byte with the same
+/// message whoever drives the parse.
+pub(crate) struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -65,16 +71,9 @@ impl Json {
     /// Parses one complete JSON document; trailing non-whitespace is an
     /// error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
+        let mut p = Parser::new(text);
         let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        p.finish()?;
         Ok(value)
     }
 
@@ -148,11 +147,12 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::UInt(u) => {
-                out.push_str(&u.to_string());
-            }
+            Json::UInt(u) => write_u64(*u, out),
             Json::Int(i) => {
-                out.push_str(&i.to_string());
+                if *i < 0 {
+                    out.push('-');
+                }
+                write_u64(i.unsigned_abs(), out);
             }
             Json::Num(x) => write_f64(*x, out),
             Json::Str(s) => write_escaped(s, out),
@@ -190,17 +190,34 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes the decimal digits of `v`, with no intermediate `String`. The
+/// one integer writer of the crate: [`Json::write`] and the request
+/// encoder in `codec.rs` both use it.
+pub(crate) fn write_u64(mut v: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 /// Finite floats print via Rust's shortest-roundtrip `Display`;
 /// non-finite values (unrepresentable in JSON) degrade to `null`.
-fn write_f64(x: f64, out: &mut String) {
+pub(crate) fn write_f64(x: f64, out: &mut String) {
     if x.is_finite() {
-        out.push_str(&x.to_string());
+        write!(out, "{x}").expect("writing to a String cannot fail");
     } else {
         out.push_str("null");
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -219,15 +236,79 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 impl<'a> Parser<'a> {
+    /// A parser positioned at the first non-whitespace byte of `text`.
+    pub(crate) fn new(text: &'a str) -> Parser<'a> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// The next byte, without consuming it.
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    /// Ends the document: only whitespace may follow.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after the document"));
+        }
+        Ok(())
+    }
+
+    /// Enters the array or object (`open` is `[` or `{`) of a value at
+    /// `depth`. `Ok(true)` when a first member follows; `Ok(false)` when
+    /// the container was empty and is already closed.
+    pub(crate) fn open(&mut self, open: u8, depth: usize) -> Result<bool, JsonError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.expect(open)?;
+        self.skip_ws();
+        let close = if open == b'[' { b']' } else { b'}' };
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// After a member of the container that `close` ends: `Ok(true)` when
+    /// a `,` announces another member, `Ok(false)` once `close` is read.
+    pub(crate) fn more(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(self.err(format!("expected ',' or '{}'", close as char))),
+        }
+    }
+
+    /// An object member's key, up to and past its `:`.
+    pub(crate) fn key(&mut self) -> Result<String, JsonError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
             message: message.into(),
         }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -254,7 +335,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// One whole value at nesting `depth` (the document is depth 0).
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -272,54 +354,30 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
+        if self.open(b'[', depth)? {
+            loop {
+                items.push(self.value(depth + 1)?);
+                if !self.more(b']')? {
+                    break;
                 }
-                _ => return Err(self.err("expected ',' or ']'")),
             }
         }
+        Ok(Json::Arr(items))
     }
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
         let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
+        if self.open(b'{', depth)? {
+            loop {
+                let key = self.key()?;
+                fields.push((key, self.value(depth + 1)?));
+                if !self.more(b'}')? {
+                    break;
                 }
-                _ => return Err(self.err("expected ',' or '}'")),
             }
         }
+        Ok(Json::Obj(fields))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -410,7 +468,31 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
+    /// A plain integer literal: digits only, no sign, fraction or
+    /// exponent, within `u64`. Consumed and returned; anything else is
+    /// left unconsumed for [`Parser::value`] to read or reject. This is
+    /// how [`Parser::number`] reads such a literal too, so both ways
+    /// agree on every input.
+    pub(crate) fn uint(&mut self) -> Option<u64> {
+        let rest = &self.bytes[self.pos..];
+        let len = match rest.first() {
+            Some(b'0') => 1,
+            _ => rest.iter().take_while(|c| c.is_ascii_digit()).count(),
+        };
+        if len == 0 || matches!(rest.get(len), Some(b'.' | b'e' | b'E')) {
+            return None;
+        }
+        let value = rest[..len].iter().try_fold(0u64, |v, &c| {
+            v.checked_mul(10)?.checked_add(u64::from(c - b'0'))
+        })?;
+        self.pos += len;
+        Some(value)
+    }
+
     fn number(&mut self) -> Result<Json, JsonError> {
+        if let Some(u) = self.uint() {
+            return Ok(Json::UInt(u));
+        }
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -576,6 +658,17 @@ mod tests {
             v.to_string(),
             r#"{"id":1,"x":0.03,"s":"a\tb","arr":[null,true]}"#
         );
+    }
+
+    #[test]
+    fn integers_write_their_exact_digits() {
+        for u in [0, 7, 10, 99, 100, 4294967295, u64::MAX] {
+            assert_eq!(Json::UInt(u).to_string(), u.to_string());
+        }
+        for i in [i64::MIN, -4294967296, -10, -1, 0] {
+            assert_eq!(Json::Int(i).to_string(), i.to_string());
+        }
+        assert_eq!(Json::parse("-0").unwrap().to_string(), "0");
     }
 
     #[test]

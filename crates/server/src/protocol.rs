@@ -5,12 +5,12 @@
 //! specified in `crates/server/PROTOCOL.md`; this module is its only
 //! implementation. Method names go through the canonical
 //! [`Method::parse_name`] codec, matrix payloads through the same
-//! [`Coo`] constructors and Matrix Market reader as the rest of the
-//! workspace — so a malformed payload surfaces the library's typed errors
-//! verbatim in the `message` field.
+//! [`Coo`](mg_sparse::Coo) constructors and Matrix Market reader as the
+//! rest of the workspace — so a malformed payload surfaces the library's
+//! typed errors verbatim in the `message` field.
 
 use crate::codec::WireCodec;
-use crate::json::{obj, Json};
+use crate::json::{obj, Json, JsonError, Parser};
 use mg_core::service::{ErrorCode, MatrixPayload, PartitionOutcome, PartitionSpec, RequestOp};
 use mg_core::Method;
 use mg_sparse::Idx;
@@ -70,9 +70,149 @@ pub const DEFAULT_EPSILON: f64 = 0.03;
 pub const DEFAULT_METHOD: &str = "mg-ir";
 
 /// Decodes one request line.
+///
+/// The line is parsed once. Every field lands in a [`Json`] tree and is
+/// validated there, except the coordinates of an inline matrix, which
+/// are decoded into the entry vector as the parse reaches them. The
+/// checks still run in one fixed order, so a line with several faults
+/// always reports the same one (see `PROTOCOL.md` § Matrix payloads).
 pub fn parse_request_line(line: &str) -> Result<Request, RequestError> {
-    let doc = Json::parse(line)
+    let (doc, entries) = parse_document(line)
         .map_err(|e| RequestError::new(&Json::Null, ErrorCode::BadJson, e.to_string()))?;
+    validate(doc, |id, m| decode_matrix(id, m, entries))
+}
+
+/// The first `entries` array of the first `matrix` object, decoded while
+/// the line was parsed: the pairs up to the first entry that is not a
+/// valid `[row, col]` pair, and that entry's error message. The message
+/// waits for [`decode_matrix`], because a syntax error later in the line,
+/// or a bad field checked before the matrix, must win over it.
+struct InlineEntries {
+    pairs: Vec<(Idx, Idx)>,
+    first_bad: Option<String>,
+}
+
+/// Parses a request line into its [`Json`] tree, except that the first
+/// `entries` array of the first `matrix` object is decoded by
+/// [`decode_entries`] and leaves an empty array in its place, so no
+/// `Json` value exists per nonzero. Duplicate keys keep their first
+/// value, as [`Json::get`] reads them.
+fn parse_document(line: &str) -> Result<(Json, Option<InlineEntries>), JsonError> {
+    let mut p = Parser::new(line);
+    let mut entries = None;
+    let doc = if p.peek() == Some(b'{') {
+        object_with(&mut p, 0, "matrix", b'{', |p| {
+            object_with(p, 1, "entries", b'[', |p| {
+                entries = Some(decode_entries(p, 2)?);
+                Ok(Json::Arr(Vec::new()))
+            })
+        })?
+    } else {
+        p.value(0)?
+    };
+    p.finish()?;
+    Ok((doc, entries))
+}
+
+/// Parses the object at `depth`, handing the value of its first member
+/// named `key` to `decode` when that value opens with `open`.
+fn object_with(
+    p: &mut Parser<'_>,
+    depth: usize,
+    key: &str,
+    open: u8,
+    mut decode: impl FnMut(&mut Parser<'_>) -> Result<Json, JsonError>,
+) -> Result<Json, JsonError> {
+    let mut fields = Vec::new();
+    let mut seen = false;
+    if p.open(b'{', depth)? {
+        loop {
+            let name = p.key()?;
+            let first = name == key && !std::mem::replace(&mut seen, true);
+            let value = if first && p.peek() == Some(open) {
+                decode(p)?
+            } else {
+                p.value(depth + 1)?
+            };
+            fields.push((name, value));
+            if !p.more(b'}')? {
+                break;
+            }
+        }
+    }
+    Ok(Json::Obj(fields))
+}
+
+/// Decodes the `entries` array at `depth`. A bad entry stops the pairs but
+/// not the parse: the rest of the line must still be valid JSON.
+fn decode_entries(p: &mut Parser<'_>, depth: usize) -> Result<InlineEntries, JsonError> {
+    let mut decoded = InlineEntries {
+        pairs: Vec::new(),
+        first_bad: None,
+    };
+    if !p.open(b'[', depth)? {
+        return Ok(decoded);
+    }
+    for k in 0.. {
+        let pair = entry(p, depth + 1)?;
+        if decoded.first_bad.is_none() {
+            match entry_pair(k, pair) {
+                Ok(pair) => decoded.pairs.push(pair),
+                Err(message) => decoded.first_bad = Some(message),
+            }
+        }
+        if !p.more(b']')? {
+            break;
+        }
+    }
+    Ok(decoded)
+}
+
+/// One element of `entries`: when it is an array of exactly two values,
+/// each value's [`Json::as_u64`] view; `None` for anything else. Plain
+/// integer coordinates are read without a [`Json`] value.
+fn entry(p: &mut Parser<'_>, depth: usize) -> Result<Option<[Option<u64>; 2]>, JsonError> {
+    if p.peek() != Some(b'[') {
+        p.value(depth)?;
+        return Ok(None);
+    }
+    let (mut coords, mut members) = ([None; 2], 0usize);
+    if p.open(b'[', depth)? {
+        loop {
+            let coord = match p.uint() {
+                Some(v) => Some(v),
+                None => p.value(depth + 1)?.as_u64(),
+            };
+            if let Some(slot) = coords.get_mut(members) {
+                *slot = coord;
+            }
+            members += 1;
+            if !p.more(b']')? {
+                break;
+            }
+        }
+    }
+    Ok((members == 2).then_some(coords))
+}
+
+/// Applies the coordinate rule to entry `k`: a `[row, col]` pair of
+/// integers below `Idx::MAX`, the row checked first.
+fn entry_pair(k: usize, coords: Option<[Option<u64>; 2]>) -> Result<(Idx, Idx), String> {
+    let [row, col] = coords.ok_or_else(|| format!("entry {k} must be a [row, col] pair"))?;
+    let coord = |v: Option<u64>, name: &str| {
+        v.filter(|&v| v < u64::from(Idx::MAX))
+            .map(|v| v as Idx)
+            .ok_or_else(|| format!("entry {k}: {name} must be a 0-based u32 index"))
+    };
+    Ok((coord(row, "row")?, coord(col, "col")?))
+}
+
+/// Validates a parsed request document field by field; `matrix` decodes
+/// the `matrix` field once every other field has passed.
+fn validate(
+    doc: Json,
+    matrix: impl FnOnce(&Json, Option<&Json>) -> Result<MatrixPayload, RequestError>,
+) -> Result<Request, RequestError> {
     if !matches!(doc, Json::Obj(_)) {
         return Err(RequestError::new(
             &Json::Null,
@@ -245,7 +385,7 @@ pub fn parse_request_line(line: &str) -> Result<Request, RequestError> {
         },
     };
 
-    let matrix = decode_matrix(&id, doc.get("matrix"))?;
+    let matrix = matrix(&id, doc.get("matrix"))?;
 
     Ok(Request {
         id,
@@ -312,7 +452,11 @@ fn parse_trace_field(id: &Json, v: &Json) -> Result<mg_obs::WireTrace, RequestEr
     Ok(mg_obs::WireTrace { trace_id, parent })
 }
 
-fn decode_matrix(id: &Json, field: Option<&Json>) -> Result<MatrixPayload, RequestError> {
+fn decode_matrix(
+    id: &Json,
+    field: Option<&Json>,
+    entries: Option<InlineEntries>,
+) -> Result<MatrixPayload, RequestError> {
     let Some(m) = field else {
         return Err(RequestError::new(
             id,
@@ -336,41 +480,25 @@ fn decode_matrix(id: &Json, field: Option<&Json>) -> Result<MatrixPayload, Reque
         [true, false, false] => {
             let rows = dim(id, m, "rows")?;
             let cols = dim(id, m, "cols")?;
-            let raw = m.get("entries").and_then(Json::as_array).ok_or_else(|| {
-                RequestError::new(
-                    id,
-                    ErrorCode::BadRequest,
-                    "inline matrices need an \"entries\" array",
-                )
-            })?;
-            let mut entries = Vec::with_capacity(raw.len());
-            for (k, pair) in raw.iter().enumerate() {
-                let coords = pair.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                    RequestError::new(
+            // An `entries` array in the tree is the placeholder of the
+            // one the parse decoded.
+            let decoded = match (m.get("entries").and_then(Json::as_array), entries) {
+                (Some(_), Some(decoded)) => decoded,
+                _ => {
+                    return Err(RequestError::new(
                         id,
-                        ErrorCode::BadMatrix,
-                        format!("entry {k} must be a [row, col] pair"),
-                    )
-                })?;
-                let coord = |axis: usize, name: &str| -> Result<Idx, RequestError> {
-                    coords[axis]
-                        .as_u64()
-                        .filter(|&v| v < u64::from(Idx::MAX))
-                        .map(|v| v as Idx)
-                        .ok_or_else(|| {
-                            RequestError::new(
-                                id,
-                                ErrorCode::BadMatrix,
-                                format!("entry {k}: {name} must be a 0-based u32 index"),
-                            )
-                        })
-                };
-                entries.push((coord(0, "row")?, coord(1, "col")?));
+                        ErrorCode::BadRequest,
+                        "inline matrices need an \"entries\" array",
+                    ))
+                }
+            };
+            if let Some(message) = decoded.first_bad {
+                return Err(RequestError::new(id, ErrorCode::BadMatrix, message));
             }
             Ok(MatrixPayload::Inline {
                 rows,
                 cols,
-                entries,
+                entries: decoded.pairs,
             })
         }
         [false, true, false] => {
@@ -580,6 +708,418 @@ pub fn stats_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// The tree-based decode the streaming one replaced, kept as its
+    /// oracle: the whole line through [`Json::parse`], then the same
+    /// field checks, with the matrix decoded from the tree.
+    fn oracle(line: &str) -> Result<Request, RequestError> {
+        let doc = Json::parse(line)
+            .map_err(|e| RequestError::new(&Json::Null, ErrorCode::BadJson, e.to_string()))?;
+        validate(doc, tree_decode_matrix)
+    }
+
+    fn tree_decode_matrix(id: &Json, field: Option<&Json>) -> Result<MatrixPayload, RequestError> {
+        let Some(m) = field else {
+            return Err(RequestError::new(
+                id,
+                ErrorCode::BadRequest,
+                "partition requests need a \"matrix\" field",
+            ));
+        };
+        if !matches!(m, Json::Obj(_)) {
+            return Err(RequestError::new(
+                id,
+                ErrorCode::BadRequest,
+                "\"matrix\" must be an object",
+            ));
+        }
+        let sources = [
+            m.get("entries").is_some() || m.get("rows").is_some() || m.get("cols").is_some(),
+            m.get("collection").is_some(),
+            m.get("mtx").is_some(),
+        ];
+        match sources {
+            [true, false, false] => {
+                let rows = dim(id, m, "rows")?;
+                let cols = dim(id, m, "cols")?;
+                let raw = m.get("entries").and_then(Json::as_array).ok_or_else(|| {
+                    RequestError::new(
+                        id,
+                        ErrorCode::BadRequest,
+                        "inline matrices need an \"entries\" array",
+                    )
+                })?;
+                let mut entries = Vec::with_capacity(raw.len());
+                for (k, pair) in raw.iter().enumerate() {
+                    let coords = pair.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
+                        RequestError::new(
+                            id,
+                            ErrorCode::BadMatrix,
+                            format!("entry {k} must be a [row, col] pair"),
+                        )
+                    })?;
+                    let coord = |axis: usize, name: &str| -> Result<Idx, RequestError> {
+                        coords[axis]
+                            .as_u64()
+                            .filter(|&v| v < u64::from(Idx::MAX))
+                            .map(|v| v as Idx)
+                            .ok_or_else(|| {
+                                RequestError::new(
+                                    id,
+                                    ErrorCode::BadMatrix,
+                                    format!("entry {k}: {name} must be a 0-based u32 index"),
+                                )
+                            })
+                    };
+                    entries.push((coord(0, "row")?, coord(1, "col")?));
+                }
+                Ok(MatrixPayload::Inline {
+                    rows,
+                    cols,
+                    entries,
+                })
+            }
+            [false, true, false] => {
+                let name = m.get("collection").and_then(Json::as_str).ok_or_else(|| {
+                    RequestError::new(id, ErrorCode::BadRequest, "\"collection\" must be a string")
+                })?;
+                Ok(MatrixPayload::Collection(name.to_string()))
+            }
+            [false, false, true] => {
+                let text = m.get("mtx").and_then(Json::as_str).ok_or_else(|| {
+                    RequestError::new(id, ErrorCode::BadRequest, "\"mtx\" must be a string")
+                })?;
+                Ok(MatrixPayload::MatrixMarket(text.to_string()))
+            }
+            _ => Err(RequestError::new(
+                id,
+                ErrorCode::BadRequest,
+                "\"matrix\" must be exactly one of inline {rows, cols, entries}, \
+                 {collection}, or {mtx}",
+            )),
+        }
+    }
+
+    fn assert_matches_oracle(line: &str) {
+        assert_eq!(parse_request_line(line), oracle(line), "line {line:?}");
+    }
+
+    #[test]
+    fn checked_in_scripts_decode_as_the_oracle_does() {
+        let scripts = [
+            include_str!("../tests/data/smoke_requests.jsonl"),
+            include_str!("../../router/tests/data/route_requests.jsonl"),
+        ];
+        let mut lines = 0;
+        for line in scripts.iter().flat_map(|s| s.lines()) {
+            let line = line.trim();
+            if !line.is_empty() {
+                assert_matches_oracle(line);
+                lines += 1;
+            }
+        }
+        assert!(lines >= 15, "both scripts were read ({lines} lines)");
+    }
+
+    /// The coordinate edge cases one by one, each with the outcome it
+    /// must have besides agreeing with the oracle.
+    #[test]
+    fn coordinate_edge_cases_decode_as_the_oracle_does() {
+        let inline = |entries: &str| {
+            format!(r#"{{"id":3,"matrix":{{"rows":9,"cols":9,"entries":{entries}}}}}"#)
+        };
+        let big = |entries: &str| {
+            format!(r#"{{"matrix":{{"rows":4294967294,"cols":4294967294,"entries":{entries}}}}}"#)
+        };
+        let pairs = |line: &str| match parse_request_line(line).unwrap().spec.unwrap().matrix {
+            MatrixPayload::Inline { entries, .. } => entries,
+            other => panic!("not inline: {other:?}"),
+        };
+        let error = |line: &str| {
+            let e = parse_request_line(line).unwrap_err();
+            (e.code, e.message)
+        };
+        let bad_matrix = |m: &str| (ErrorCode::BadMatrix, m.to_string());
+
+        let line = inline("[[1.0,1e0],[2,0.0],[0,3E+0]]");
+        assert_eq!(pairs(&line), vec![(1, 1), (2, 0), (0, 3)]);
+        let line = big("[[4294967293,0],[0,4294967293]]");
+        assert_eq!(pairs(&line), vec![(4294967293, 0), (0, 4294967293)]);
+        let spaced = " {\t\"matrix\" :\n{ \"rows\" : 2 ,\"cols\":2,\r\n\"entries\" :[ [ 0 , 1 ] ,[1,0 ] ] } } ";
+        assert_eq!(pairs(spaced), vec![(0, 1), (1, 0)]);
+        assert_eq!(pairs(&inline("[]")), vec![]);
+        let cases = [
+            (
+                inline("[[-1,0]]"),
+                bad_matrix("entry 0: row must be a 0-based u32 index"),
+            ),
+            (
+                inline("[[0,0],[0,-1]]"),
+                bad_matrix("entry 1: col must be a 0-based u32 index"),
+            ),
+            (
+                inline("[[0,1.5]]"),
+                bad_matrix("entry 0: col must be a 0-based u32 index"),
+            ),
+            (
+                big("[[4294967295,0]]"),
+                bad_matrix("entry 0: row must be a 0-based u32 index"),
+            ),
+            (
+                inline("[[0,0],[1]]"),
+                bad_matrix("entry 1 must be a [row, col] pair"),
+            ),
+            (
+                inline("[[1,2,3]]"),
+                bad_matrix("entry 0 must be a [row, col] pair"),
+            ),
+            (
+                inline(r#"[[0,0],"x"]"#),
+                bad_matrix("entry 1 must be a [row, col] pair"),
+            ),
+            (
+                inline("[[[0],0]]"),
+                bad_matrix("entry 0: row must be a 0-based u32 index"),
+            ),
+            (
+                inline("{}"),
+                (
+                    ErrorCode::BadRequest,
+                    "inline matrices need an \"entries\" array".into(),
+                ),
+            ),
+            (
+                inline(r#""x""#),
+                (
+                    ErrorCode::BadRequest,
+                    "inline matrices need an \"entries\" array".into(),
+                ),
+            ),
+        ];
+        for (line, expected) in &cases {
+            assert_eq!(&error(line), expected, "line {line:?}");
+        }
+        // `01` is not a number: a syntax error, not a bad coordinate.
+        assert_eq!(error(&inline("[[01,0]]")).0, ErrorCode::BadJson);
+        // Duplicate keys: the first `matrix` and the first `entries` win.
+        let line = r#"{"matrix":{"rows":2,"cols":2,"entries":[[0,0]],"entries":[[1,-1]]},"matrix":{"collection":"x"}}"#;
+        assert_eq!(pairs(line), vec![(0, 0)]);
+        let line = r#"{"matrix":{"rows":2,"cols":2,"entries":"x","entries":[[1,1]]}}"#;
+        assert_eq!(error(line).0, ErrorCode::BadRequest);
+        let line = r#"{"matrix":"m","matrix":{"rows":2,"cols":2,"entries":[[0,0]]}}"#;
+        assert_eq!(error(line).0, ErrorCode::BadRequest);
+        // An escaped key is the key it decodes to.
+        assert_eq!(
+            pairs(r#"{"matrix":{"rows":2,"cols":2,"entr\u0069es":[[1,0]]}}"#),
+            vec![(1, 0)]
+        );
+        // A bad entry waits: a later syntax error is still `bad_json`, and
+        // a bad field checked before the matrix still wins.
+        let line = inline("[[-1,0],[0,0]]");
+        assert_eq!(error(&format!("{line} x")).0, ErrorCode::BadJson);
+        assert_eq!(
+            error(&line.replacen("[0,0]]", "[0,0]", 1)).0,
+            ErrorCode::BadJson
+        );
+        assert_eq!(
+            error(&line.replacen("{", r#"{"method":"zz","#, 1)).0,
+            ErrorCode::BadMethod
+        );
+        assert_eq!(
+            error(&line.replacen("{", r#"{"seed":-1,"#, 1)).0,
+            ErrorCode::BadRequest
+        );
+        assert_eq!(
+            error(&line.replace(r#""rows":9"#, r#""rows":-9"#)),
+            (
+                ErrorCode::BadRequest,
+                "inline matrices need a u32 \"rows\" field".into()
+            )
+        );
+        for (line, _) in &cases {
+            assert_matches_oracle(line);
+        }
+        for line in [
+            inline("[[1.0,1e0],[2,0.0],[0,3E+0]]"),
+            big("[[4294967293,0],[0,4294967293]]"),
+            spaced.to_string(),
+            inline("[[01,0]]"),
+            inline("[[-1,0],[0,0]] x"),
+            r#"{"matrix":{"rows":2,"cols":2,"entr\u0069es":[[1,0]]}}"#.to_string(),
+        ] {
+            assert_matches_oracle(&line);
+        }
+    }
+
+    /// Whitespace drawn at random: none mostly, sometimes every kind.
+    fn ws(rng: &mut TestRng) -> &'static str {
+        const WS: [&str; 8] = ["", "", "", "", " ", "\t", "\r\n", " \n  "];
+        WS[(rng.next_u64() % WS.len() as u64) as usize]
+    }
+
+    fn one_in(rng: &mut TestRng, n: u64) -> bool {
+        rng.next_u64().is_multiple_of(n)
+    }
+
+    fn pick<'a>(rng: &mut TestRng, options: &[&'a str]) -> &'a str {
+        options[(rng.next_u64() % options.len() as u64) as usize]
+    }
+
+    /// An object of `fields` in random order, whitespace around every
+    /// token.
+    fn object(rng: &mut TestRng, mut fields: Vec<(String, String)>) -> String {
+        for k in (1..fields.len()).rev() {
+            fields.swap(k, (rng.next_u64() % (k as u64 + 1)) as usize);
+        }
+        let mut out = format!("{{{}", ws(rng));
+        for (k, (key, value)) in fields.iter().enumerate() {
+            if k > 0 {
+                out.push_str(&format!(",{}", ws(rng)));
+            }
+            out.push_str(&format!("{key}{}:{}{value}{}", ws(rng), ws(rng), ws(rng)));
+        }
+        out.push('}');
+        out
+    }
+
+    /// A random inline-matrix request: mostly valid, with a few faults
+    /// drawn from the edge cases of the coordinate rule, the `entries`
+    /// and `matrix` keys, and the fields checked before the matrix.
+    fn mutant(rng: &mut TestRng) -> String {
+        const COORDS: [&str; 14] = [
+            "0",
+            "1",
+            "7",
+            "1.0",
+            "1e0",
+            "2E1",
+            "-1",
+            "01",
+            "0.5",
+            "4294967294",
+            "4294967295",
+            "18446744073709551616",
+            "\"3\"",
+            "null",
+        ];
+        const ENTRIES: [&str; 6] = ["[1]", "[1,2,3]", "\"x\"", "[]", "{}", "[[1,2]]"];
+        let count = rng.next_u64() % 6;
+        let mut entries = format!("[{}", ws(rng));
+        for k in 0..count {
+            if k > 0 {
+                entries.push_str(&format!(",{}", ws(rng)));
+            }
+            if one_in(rng, 8) {
+                entries.push_str(pick(rng, &ENTRIES));
+            } else {
+                let coord = |rng: &mut TestRng| {
+                    if one_in(rng, 6) {
+                        pick(rng, &COORDS).to_string()
+                    } else {
+                        (rng.next_u64() % 9).to_string()
+                    }
+                };
+                let (i, j) = (coord(rng), coord(rng));
+                entries.push_str(&format!(
+                    "[{}{i}{},{}{j}{}]",
+                    ws(rng),
+                    ws(rng),
+                    ws(rng),
+                    ws(rng)
+                ));
+            }
+        }
+        entries.push_str(&format!("{}]", ws(rng)));
+        let entries_key = if one_in(rng, 10) {
+            r#""entr\u0069es""#
+        } else {
+            r#""entries""#
+        }
+        .to_string();
+        let mut matrix = vec![
+            (
+                "\"rows\"".to_string(),
+                if one_in(rng, 4) {
+                    pick(rng, &["9.0", "-9", "\"9\"", "4294967295"])
+                } else {
+                    "9"
+                }
+                .to_string(),
+            ),
+            (
+                "\"cols\"".to_string(),
+                pick(rng, &["9", "9", "9", "1e1"]).to_string(),
+            ),
+        ];
+        match rng.next_u64() % 12 {
+            0 => matrix.push((
+                entries_key,
+                pick(rng, &["\"x\"", "{}", "5", "null"]).to_string(),
+            )),
+            1 => {
+                matrix.push((entries_key, entries));
+                matrix.push(("\"entries\"".into(), "[[1,-1]]".into()));
+            }
+            2 => {
+                matrix.push(("\"entries\"".into(), "7".into()));
+                matrix.push((entries_key, entries));
+            }
+            3 => matrix = vec![("\"collection\"".into(), "\"c\"".into())],
+            _ => matrix.push((entries_key, entries)),
+        }
+        let matrix = object(rng, matrix);
+        let mut fields = vec![(
+            "\"id\"".to_string(),
+            pick(rng, &["1", "\"a\\\"b\"", "null", "-3", "{\"k\":[1]}"]).to_string(),
+        )];
+        match rng.next_u64() % 10 {
+            0 => fields.push((
+                "\"matrix\"".into(),
+                pick(rng, &["\"m\"", "[1]"]).to_string(),
+            )),
+            1 => {
+                fields.push(("\"matrix\"".into(), matrix));
+                fields.push(("\"matrix\"".into(), "{\"collection\":\"x\"}".into()));
+            }
+            _ => fields.push(("\"matrix\"".into(), matrix)),
+        }
+        for (key, values) in [
+            ("\"method\"", ["\"mg\"", "\"zz\"", "3"]),
+            ("\"backend\"", ["\"patoh\"", "\"hmetis\"", "1"]),
+            ("\"epsilon\"", ["0.1", "-1", "\"e\""]),
+            ("\"seed\"", ["7", "-3", "18446744073709551615"]),
+        ] {
+            if one_in(rng, 4) {
+                fields.push((key.into(), pick(rng, &values).to_string()));
+            }
+        }
+        let mut line = format!("{}{}{}", ws(rng), object(rng, fields), ws(rng));
+        // A syntax error after everything else: cut the line short, or
+        // drop a stray byte into it.
+        match rng.next_u64() % 8 {
+            0 => line.truncate((rng.next_u64() % line.len() as u64) as usize),
+            1 => {
+                const STRAY: [char; 6] = [',', ']', '}', 'x', ':', '"'];
+                let at = (rng.next_u64() % (line.len() as u64 + 1)) as usize;
+                line.insert(at, STRAY[(rng.next_u64() % 6) as usize]);
+            }
+            _ => {}
+        }
+        line
+    }
+
+    proptest! {
+        #[test]
+        fn mutated_requests_decode_as_the_oracle_does(seed in any::<u64>()) {
+            let mut rng = TestRng::from_seed(seed);
+            for _ in 0..32 {
+                let line = mutant(&mut rng);
+                prop_assert_eq!(parse_request_line(&line), oracle(&line), "line {:?}", line);
+            }
+        }
+    }
 
     #[test]
     fn decodes_a_minimal_inline_request() {

@@ -5,8 +5,9 @@
 //! ## Execution model
 //!
 //! Sessions (one per stdio pipe or TCP connection) decode request lines
-//! and submit jobs to the shared [`Engine`]. A dispatcher thread drains
-//! the queue in *micro-batches* and runs each batch on the existing
+//! and submit jobs to the engine their [`Service`] shares between them.
+//! A dispatcher thread drains the queue in *micro-batches* and runs each
+//! batch on the existing
 //! [`mg_collection::run_batch_ordered`] work-stealing pool — jobs execute
 //! out of order across workers, but results are delivered in order and
 //! each session's writer emits responses in its own submission order.
